@@ -2,6 +2,7 @@
 
 use crate::cache::Cache;
 use crate::config::CacheConfig;
+use crate::row::{LineTable, RowPlan, Slot};
 use crate::sinks::AccessSink;
 use crate::stats::AccessStats;
 
@@ -34,6 +35,10 @@ use crate::stats::AccessStats;
 pub struct Hierarchy {
     l1: Cache,
     l2: Cache,
+    /// Row points replayed through [`AccessSink::row`].
+    row_points: u64,
+    /// The subset of `row_points` replayed access by access.
+    row_points_exact: u64,
 }
 
 impl Hierarchy {
@@ -42,6 +47,8 @@ impl Hierarchy {
         Hierarchy {
             l1: Cache::new(l1),
             l2: Cache::new(l2),
+            row_points: 0,
+            row_points_exact: 0,
         }
     }
 
@@ -74,6 +81,16 @@ impl Hierarchy {
     pub fn reset(&mut self) {
         self.l1.reset();
         self.l2.reset();
+        self.row_points = 0;
+        self.row_points_exact = 0;
+    }
+
+    /// Row points replayed through [`AccessSink::row`] so far, and how
+    /// many of them were replayed access by access (the first point of
+    /// every row, points with a live same-set pair, and every point of a
+    /// row that cannot take the run-level path).
+    pub fn row_points(&self) -> (u64, u64) {
+        (self.row_points, self.row_points_exact)
     }
 
     /// L1 miss rate in percent (the paper's primary metric).
@@ -100,10 +117,16 @@ impl Hierarchy {
 
     /// Folds both levels' stats into the global observability metrics as
     /// `cachesim.l1.*` / `cachesim.l2.*` counters (no-op when the recorder
-    /// is off). Call once per simulated point, before `reset`.
+    /// is off), and the row replay counters as `cachesim.row.points` /
+    /// `cachesim.row.points_exact`. Call once per simulated point, before
+    /// `reset`.
     pub fn fold_obs_metrics(&self) {
         self.l1.stats().fold_obs_metrics("cachesim.l1");
         self.l2.stats().fold_obs_metrics("cachesim.l2");
+        if tiling3d_obs::collecting() {
+            tiling3d_obs::counter_add("cachesim.row.points", self.row_points);
+            tiling3d_obs::counter_add("cachesim.row.points_exact", self.row_points_exact);
+        }
     }
 }
 
@@ -114,6 +137,55 @@ impl Hierarchy {
     #[inline(never)]
     fn l2_read_fill(&mut self, addr: u64) {
         self.l2.access(addr, false);
+    }
+
+    /// One slot access of the point at `point`. Stores are inlined here,
+    /// unlike [`AccessSink::write`]: the row loops are the only callers,
+    /// and they issue a store at nearly every point.
+    #[inline(always)]
+    fn slot(&mut self, s: Slot, point: u64) {
+        let a = point.wrapping_add(s.offset as u64);
+        if s.write {
+            self.l1.access(a, true);
+            self.l2.access(a, true);
+        } else {
+            self.read(a);
+        }
+    }
+
+    /// Replays every slot of the point at `point`, in source order.
+    #[inline]
+    fn point_exact(&mut self, slots: &[Slot], point: u64) {
+        for &s in slots {
+            self.slot(s, point);
+        }
+    }
+
+    /// Run-level replay of a row over a direct-mapped L1 (DESIGN.md §19).
+    /// Point 0 is replayed exactly. After it, a load is probed only at the
+    /// point where it enters a new L1 line and every store is probed; the
+    /// other loads re-read the line they read at the previous point, which
+    /// no allocating access can have evicted unless two allocating slots
+    /// sat on distinct lines of one set at that point or this one — and
+    /// the table probes every slot of such points. Skipped loads are
+    /// direct-mapped hits, which change no cache state and never reach L2,
+    /// so both levels see the per-access expansion's state and L2 stream.
+    fn row_lines(&mut self, plan: &RowPlan, table: &LineTable, base: u64, n: usize) {
+        let stride = plan.stride() as u64;
+        self.point_exact(plan.slots(), base);
+        let (mut point, mut exact, mut hits) = (base, 1u64, 0u64);
+        for _ in 1..n {
+            point = point.wrapping_add(stride);
+            let phase = table.phase(point);
+            for &s in table.probes(phase) {
+                self.slot(s, point);
+            }
+            hits += u64::from(phase.hits);
+            exact += u64::from(phase.exact);
+        }
+        // Direct-mapped hits update counters only: no LRU state to touch.
+        self.l1.record_line_read_hits(hits);
+        self.row_points_exact += exact;
     }
 }
 
@@ -172,6 +244,31 @@ impl AccessSink for Hierarchy {
         // interleaved per-access expansion.
         self.l1.write_run(addr, stride, n);
         self.l2.write_run(addr, stride, n);
+    }
+
+    /// Run-level replay when L1 is direct-mapped and the plan's stride is
+    /// a power of two no larger than an L1 line; the per-access expansion
+    /// otherwise. L2's geometry does not matter: it sees every L1 read
+    /// miss and every store, in order, either way.
+    fn row(&mut self, plan: &RowPlan, base: u64, n: usize) {
+        self.row_points += n as u64;
+        // A one-point row is its own exact first point.
+        let table = if n > 1 && self.l1.config().ways == 1 {
+            plan.line_table(self.l1.config())
+        } else {
+            None
+        };
+        match table {
+            Some(t) => self.row_lines(plan, t, base, n),
+            None => {
+                let mut point = base;
+                for _ in 0..n {
+                    self.point_exact(plan.slots(), point);
+                    point = point.wrapping_add(plan.stride() as u64);
+                }
+                self.row_points_exact += n as u64;
+            }
+        }
     }
 }
 

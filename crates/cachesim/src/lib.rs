@@ -15,7 +15,10 @@
 //! * [`AccessSink`] — the trait kernels' trace generators drive; also
 //!   implemented by [`CountingSink`] (for FLOP/access accounting) and
 //!   [`DistinctLineCounter`] (an analytic cold-miss oracle used to validate
-//!   the paper's cost model).
+//!   the paper's cost model);
+//! * [`RowPlan`] — one sweep's per-point accesses, so a trace can hand a
+//!   whole row segment to [`AccessSink::row`] and the [`Hierarchy`] can
+//!   replay it by cache-line crossings instead of one access at a time.
 //!
 //! Addresses are **byte** addresses; stencil traces scale element offsets by
 //! `size_of::<f64>()` and place each array at a configurable base.
@@ -41,6 +44,7 @@ mod cache;
 mod config;
 mod hierarchy;
 mod mmu;
+mod row;
 mod sinks;
 mod stats;
 mod threec;
@@ -50,6 +54,7 @@ pub use cache::Cache;
 pub use config::{CacheConfig, ReplacementPolicy, WritePolicy};
 pub use hierarchy::{simulate_ultrasparc2, Hierarchy};
 pub use mmu::{MmuHierarchy, PAGE_TABLE_BASE};
+pub use row::{RowPlan, Slot};
 pub use sinks::{AccessSink, CountingSink, DistinctLineCounter, TeeSink};
 pub use stats::{AccessStats, Throughput, ThroughputTimer};
 pub use threec::ThreeC;

@@ -1,5 +1,7 @@
 //! The access-stream interface and utility sinks.
 
+use crate::row::RowPlan;
+
 /// Consumer of a memory access trace.
 ///
 /// Stencil kernels expose `trace*` functions generic over `S: AccessSink`,
@@ -59,6 +61,43 @@ pub trait AccessSink {
         for _ in 0..n {
             self.write(a);
             a = a.wrapping_add(stride as u64);
+        }
+    }
+
+    /// One stencil row segment: `n` points at `base, base + stride, ...`
+    /// (the plan's byte stride), each issuing the plan's slots in source
+    /// order.
+    ///
+    /// Semantically **exactly equivalent** to the per-access expansion
+    /// this default performs:
+    ///
+    /// ```ignore
+    /// for p in 0..n {
+    ///     let point = base.wrapping_add((p as i64).wrapping_mul(plan.stride()) as u64);
+    ///     for s in plan.slots() {
+    ///         let a = point.wrapping_add(s.offset as u64);
+    ///         if s.write { self.write(a) } else { self.read(a) }
+    ///     }
+    /// }
+    /// ```
+    ///
+    /// [`crate::Hierarchy`] overrides it to replay a direct-mapped L1 by
+    /// line crossings; every other sink keeps this expansion. The
+    /// run-level replay tests in `tests/row_replay.rs` and the
+    /// golden-equivalence suite hold the override to it bit for bit.
+    #[inline]
+    fn row(&mut self, plan: &RowPlan, base: u64, n: usize) {
+        let mut point = base;
+        for _ in 0..n {
+            for s in plan.slots() {
+                let a = point.wrapping_add(s.offset as u64);
+                if s.write {
+                    self.write(a);
+                } else {
+                    self.read(a);
+                }
+            }
+            point = point.wrapping_add(plan.stride() as u64);
         }
     }
 }

@@ -6,8 +6,9 @@
 //!   per-worker task splits may differ), and
 //! * the `--format json` output shapes are pinned by field name.
 //!
-//! The observability recorder is process-global, so every test that runs
-//! `profile` in-process serialises on [`obs_lock`].
+//! The observability recorder is process-global, so every test here
+//! serialises on [`obs_lock`]: a `plan` run on another test thread would
+//! open its spans inside a `profile` trace and leave them unclosed there.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
@@ -118,7 +119,13 @@ fn profile_trace_is_valid_and_jobs_invariant() {
     let (c1, c4) = (counters(&trace1), counters(&trace4));
     assert!(!c1.is_empty(), "no counter metrics in trace");
     assert_eq!(c1, c4, "counter snapshot differs across --jobs");
-    for key in ["plan.calls", "cachesim.l1.accesses", "sim.accesses"] {
+    for key in [
+        "plan.calls",
+        "cachesim.l1.accesses",
+        "cachesim.row.points",
+        "cachesim.row.points_exact",
+        "sim.accesses",
+    ] {
         assert!(c1.contains_key(key), "missing counter {key} in {c1:?}");
     }
 
@@ -197,6 +204,7 @@ fn trace_check_accepts_a_fresh_profile_trace() {
 
 #[test]
 fn plan_json_shape_is_pinned() {
+    let _g = obs_lock();
     let out = run(&["plan", "--dims", "200x200", "--format", "json"]).unwrap();
     let doc = json::parse(&out).unwrap();
     let keys: Vec<&str> = match &doc {
@@ -227,6 +235,7 @@ fn plan_json_shape_is_pinned() {
 /// `tiling3d serve` protocol (`crates/core/api.schema.golden`).
 #[test]
 fn cli_json_outputs_match_the_api_golden_schema() {
+    let _g = obs_lock();
     let outputs = [
         run(&["plan", "--dims", "96x96", "--format", "json"]).unwrap(),
         run(&[
@@ -300,6 +309,7 @@ fn cli_json_outputs_match_the_api_golden_schema() {
 
 #[test]
 fn tiles_and_advise_json_shapes_are_pinned() {
+    let _g = obs_lock();
     let out = run(&["tiles", "--format", "json"]).unwrap();
     let doc = json::parse(&out).unwrap();
     for key in ["di", "dj", "cache_elements", "tiles"] {

@@ -6,9 +6,9 @@
 //!                + B(I,J,K-1) + B(I,J,K+1) )
 //! ```
 
-use tiling3d_cachesim::AccessSink;
+use tiling3d_cachesim::{AccessSink, RowPlan, Slot};
 use tiling3d_grid::Array3;
-use tiling3d_loopnest::{for_each_rows, for_each_tiled, for_each_tiled_rows, IterSpace, TileDims};
+use tiling3d_loopnest::{for_each_rows, for_each_tiled_rows, IterSpace, TileDims};
 
 use crate::backend::{self, Backend, ExecBackend, LaneEngine, Resolved, RowEngine, RowKernel};
 use crate::rowexec;
@@ -99,7 +99,8 @@ fn sweep_impl<B: Backend>(a: &mut Array3<f64>, b: &Array3<f64>, c: f64, tile: Op
 /// allocation, as a Fortran compiler would place two declarations), both
 /// allocated `di x dj x nk`. Pass `tile = None` for the original order or
 /// `Some(t)` for the tiled schedule. Access order per point matches the
-/// source expression: the six `B` loads, then the `A` store.
+/// source expression: the six `B` loads, then the `A` store. Each row
+/// segment of the schedule compute walks is one [`AccessSink::row`].
 pub fn trace<S: AccessSink>(
     ni: usize,
     nj: usize,
@@ -132,23 +133,32 @@ pub fn trace_at<S: AccessSink>(
         di >= ni && dj >= nj,
         "allocated dims must cover logical dims"
     );
+    if ni < 3 || nj < 3 || nk < 3 {
+        return; // no interior points
+    }
     let ps = di * dj;
-    let space = IterSpace::interior(ni, nj, nk);
-    let body = |i: usize, j: usize, k: usize| {
-        let idx = (i + j * di + k * ps) as u64;
-        let b = |off: i64| b_base.wrapping_add((idx as i64 + off) as u64 * 8);
-        // B(i-1) then B(i+1): an in-order +16-byte run, batched so the
-        // cache probes their (usually shared) line once.
-        sink.read_run(b(-1), 16, 2);
-        sink.read(b(-(di as i64)));
-        sink.read(b(di as i64));
-        sink.read(b(-(ps as i64)));
-        sink.read(b(ps as i64));
-        sink.write(a_base + idx * 8);
+    // Slot offsets are from a point's in-array byte offset `8 * idx`: the
+    // six `B` loads in source order, then the `A` store.
+    let (b, di8, ps8) = (b_base as i64, di as i64 * 8, ps as i64 * 8);
+    let plan = RowPlan::new(
+        8,
+        [
+            Slot::read(b - 8),
+            Slot::read(b + 8),
+            Slot::read(b - di8),
+            Slot::read(b + di8),
+            Slot::read(b - ps8),
+            Slot::read(b + ps8),
+            Slot::write(a_base as i64),
+        ],
+    );
+    let row = |i0: usize, i1: usize, j: usize, k: usize| {
+        sink.row(&plan, ((i0 + j * di + k * ps) * 8) as u64, i1 - i0 + 1);
     };
+    let space = IterSpace::interior(ni, nj, nk);
     match tile {
-        None => tiling3d_loopnest::for_each(space, body),
-        Some(t) => for_each_tiled(space, t, body),
+        None => for_each_rows(space, row),
+        Some(t) => for_each_tiled_rows(space, t, row),
     }
 }
 

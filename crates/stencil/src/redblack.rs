@@ -15,7 +15,7 @@
 //! original blacks. The tests verify this exhaustively, which pins down the
 //! delicate index arithmetic of the skewed tiled loop.
 
-use tiling3d_cachesim::AccessSink;
+use tiling3d_cachesim::{AccessSink, RowPlan, Slot};
 use tiling3d_grid::Array3;
 use tiling3d_loopnest::{stride2_last, TileDims};
 
@@ -125,6 +125,9 @@ pub fn visit_rows(
     schedule: Schedule,
     f: impl FnMut(usize, usize, usize, usize),
 ) {
+    if n < 3 || nk < 3 {
+        return; // no interior points
+    }
     match schedule {
         Schedule::Naive => rows_naive(n, nk, f),
         Schedule::Fused => rows_fused(n, nk, f),
@@ -213,6 +216,7 @@ pub fn sweep_with<B: Backend>(a: &mut Array3<f64>, c1: f64, c2: f64, schedule: S
 /// Replays the exact address trace of one iteration (array `A` at byte 0,
 /// allocated `di x dj x n`). Per updated point the accesses follow the
 /// source expression: centre load, the six neighbour loads, centre store.
+/// Each stride-2 row segment of [`visit_rows`] is one [`AccessSink::row`].
 pub fn trace<S: AccessSink>(
     n: usize,
     nk: usize,
@@ -223,17 +227,26 @@ pub fn trace<S: AccessSink>(
 ) {
     assert!(di >= n && dj >= n);
     let ps = di * dj;
-    visit(n, nk, schedule, |i, j, k| {
-        let idx = (i + j * di + k * ps) as i64;
-        let at = |off: i64| ((idx + off) * 8) as u64;
-        // A(i) then A(i-1): a descending 2-run in source order.
-        sink.read_run(at(0), -8, 2);
-        sink.read(at(-(di as i64)));
-        sink.read(at(1));
-        sink.read(at(di as i64));
-        sink.read(at(-(ps as i64)));
-        sink.read(at(ps as i64));
-        sink.write(at(0));
+    let (di8, ps8) = (di as i64 * 8, ps as i64 * 8);
+    let plan = RowPlan::new(
+        16,
+        [
+            Slot::read(0),
+            Slot::read(-8),
+            Slot::read(-di8),
+            Slot::read(8),
+            Slot::read(di8),
+            Slot::read(-ps8),
+            Slot::read(ps8),
+            Slot::write(0),
+        ],
+    );
+    visit_rows(n, nk, schedule, |i0, i1, j, k| {
+        sink.row(
+            &plan,
+            ((i0 + j * di + k * ps) * 8) as u64,
+            (i1 - i0) / 2 + 1,
+        );
     });
 }
 

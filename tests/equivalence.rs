@@ -107,3 +107,48 @@ fn multigrid_transformed_solver_matches_baseline_exactly() {
         }
     }
 }
+
+/// The simulation counterpart of result preservation: the run-level cache
+/// replay (`Hierarchy::row`) reports exactly the L1 and L2 counters of a
+/// reference that expands every row access by access, at the paper's
+/// conflict size N = 256 and at an odd size.
+#[test]
+fn run_level_cache_replay_matches_per_access_replay() {
+    use tiling3d::cachesim::{AccessSink, Cache, CacheConfig, Hierarchy};
+
+    struct PerAccess {
+        l1: Cache,
+        l2: Cache,
+    }
+    impl AccessSink for PerAccess {
+        fn read(&mut self, addr: u64) {
+            if self.l1.access_reference(addr, false) {
+                self.l2.access_reference(addr, false);
+            }
+        }
+        fn write(&mut self, addr: u64) {
+            self.l1.access_reference(addr, true);
+            self.l2.access_reference(addr, true);
+        }
+    }
+
+    let cache = CacheSpec::ELEMENTS_16K_DOUBLES;
+    for kernel in [Kernel::Jacobi, Kernel::Resid] {
+        for t in [Transform::Orig, Transform::Pad] {
+            for n in [256usize, 201] {
+                let p = plan(t, cache, n, n, &kernel.shape());
+                let mut fast = Hierarchy::ultrasparc2();
+                kernel.trace(n, 6, p.padded_di, p.padded_dj, p.tile, &mut fast);
+                let mut reference = PerAccess {
+                    l1: Cache::new(CacheConfig::ULTRASPARC2_L1),
+                    l2: Cache::new(CacheConfig::ULTRASPARC2_L2),
+                };
+                kernel.trace(n, 6, p.padded_di, p.padded_dj, p.tile, &mut reference);
+                let what = format!("{} {} N={n}", kernel.name(), t.name());
+                assert_eq!(fast.l1_stats(), reference.l1.stats(), "L1: {what}");
+                assert_eq!(fast.l2_stats(), reference.l2.stats(), "L2: {what}");
+                assert!(fast.l1_stats().accesses > 1_000_000, "{what}");
+            }
+        }
+    }
+}
