@@ -134,8 +134,8 @@ use tiling3d_core::api::{
 use tiling3d_core::nonconflict::enumerate_array_tiles;
 use tiling3d_core::predict::{predict_tiled, predict_untiled, SweepSpec};
 use tiling3d_core::{
-    lower_bound_misses, plan, plan_temporal, predict_level, CacheSpec, KernelModel, LevelGeometry,
-    PlanSchedule, Problem, TemporalKernel, Transform,
+    check_plan, lower_bound_misses, plan, plan_temporal, predict_level, CacheSpec, KernelModel,
+    LevelGeometry, PlanSchedule, Problem, TemporalKernel, Transform,
 };
 use tiling3d_grid::{fill_random, Array3};
 use tiling3d_obs as obs;
@@ -335,8 +335,10 @@ fn request_jobs(flags: &ParsedFlags, steps: usize) -> usize {
     }
 }
 
-fn cache_spec(flags: &ParsedFlags) -> CacheSpec {
-    CacheSpec::from_bytes(flags.usize("--cache-kb") * 1024)
+/// The cache named by `--cache-kb`: zero and overflowing sizes are
+/// typed errors, the same check as the wire's `cache_kb`.
+fn cache_spec(flags: &ParsedFlags) -> Result<CacheSpec, String> {
+    CacheSpec::from_kb(flags.usize("--cache-kb")).map_err(|e| format!("--cache-kb: {e}"))
 }
 
 /// The iterated-kernel counterpart of a runnable kernel, for the
@@ -399,7 +401,7 @@ fn cmd_plan(flags: &ParsedFlags) -> Result<String, String> {
         di,
         dj,
         nk: 0,
-        cache: cache_spec(flags),
+        cache: cache_spec(flags)?,
         transforms: TransformSel::All,
         steps,
         jobs: request_jobs(flags, steps),
@@ -489,6 +491,9 @@ fn cmd_tiles(flags: &ParsedFlags) -> Result<String, String> {
     let di = flags.usize("--di");
     let dj = flags.try_usize("--dj").unwrap_or(di);
     let cache = flags.usize("--cache");
+    if cache == 0 {
+        return Err("tiles requires --cache >= 1".into());
+    }
     let tkmax = flags.usize("--tkmax");
     let tiles = enumerate_array_tiles(cache, di, dj, tkmax);
     if json_format(flags)? {
@@ -550,7 +555,7 @@ fn cmd_advise(flags: &ParsedFlags) -> Result<String, String> {
         di: n,
         dj: n,
         nk: 0,
-        cache: cache_spec(flags),
+        cache: cache_spec(flags)?,
         transforms: TransformSel::All,
         steps,
         jobs: request_jobs(flags, steps),
@@ -651,7 +656,7 @@ fn cmd_simulate(flags: &ParsedFlags) -> Result<String, String> {
     }
     let nk = flags.usize("--nk");
     let backend: ExecBackend = flags.parse_str("--backend")?;
-    let cache = cache_spec(flags);
+    let cache = cache_spec(flags)?;
     let l1 = CacheConfig::direct_mapped(cache.elements * 8, flags.usize("--line"));
     l1.validate()
         .map_err(|e| format!("bad cache geometry: {e}"))?;
@@ -964,7 +969,7 @@ fn cmd_predict(flags: &ParsedFlags) -> Result<String, String> {
         return Err("predict requires --n >= 3".into());
     }
     let nk = flags.usize("--nk");
-    let cache = cache_spec(flags);
+    let cache = cache_spec(flags)?;
     let line = flags.usize("--line") / 8;
     let spec = match kernel {
         Kernel::Jacobi => SweepSpec::jacobi3d(),
@@ -1037,7 +1042,7 @@ fn analyze_temporal(flags: &ParsedFlags) -> Result<String, String> {
         di: 0,
         dj: 0,
         nk: 0,
-        cache: cache_spec(flags),
+        cache: cache_spec(flags)?,
         transforms: TransformSel::All,
         steps: 0,
         jobs: 1,
@@ -1100,7 +1105,7 @@ fn cmd_analyze(flags: &ParsedFlags) -> Result<String, String> {
         di: n,
         dj: n,
         nk: 0,
-        cache: cache_spec(flags),
+        cache: cache_spec(flags)?,
         transforms: transform_sel(flags)?,
         steps: 0,
         jobs: 1,
@@ -1316,7 +1321,7 @@ fn analyze_locality(flags: &ParsedFlags) -> Result<String, String> {
         di: n,
         dj: n,
         nk: flags.usize("--nk"),
-        cache: cache_spec(flags),
+        cache: cache_spec(flags)?,
         transforms: transform_sel(flags)?,
         steps: 0,
         jobs: 1,
@@ -1459,9 +1464,10 @@ fn cmd_oracle(flags: &ParsedFlags) -> Result<String, String> {
         return Err("oracle requires --n >= 3".into());
     }
     let nk = flags.usize("--nk");
-    let cache = cache_spec(flags);
+    let cache = cache_spec(flags)?;
     let g = analysis_geometry(flags)?;
     let transforms = requested_transforms(flags)?;
+    check_plan(&transforms, cache, n, n, &kernel.shape()).map_err(|e| e.to_string())?;
     struct OracleRow {
         transform: &'static str,
         level: &'static str,
@@ -2712,6 +2718,46 @@ mod tests {
         assert!(run_line("analyze --kernel martian")
             .unwrap_err()
             .contains("unknown kernel"));
+    }
+
+    #[test]
+    fn bad_caches_and_unpaddable_dims_are_typed_errors() {
+        // Each must be a typed error, never a panic inside the planner: a
+        // panic is a bug even where a server would catch it.
+        for (line, want) in [
+            ("plan --dims 300x300 --cache-kb 24", "power-of-two cache"),
+            ("plan --dims 300x300 --cache-kb 0", "at least 1"),
+            ("advise --n 300 --cache-kb 0", "at least 1"),
+            (
+                "plan --dims 300x300 --cache-kb 18014398509481984",
+                "overflows",
+            ),
+            (
+                "analyze --kernel jacobi --n 64 --cache-kb 24",
+                "power-of-two cache",
+            ),
+            (
+                "analyze --kernel jacobi --locality --n 64 --cache-kb 24",
+                "power-of-two cache",
+            ),
+            (
+                "oracle --kernel jacobi --n 40 --nk 8 --cache-kb 24",
+                "power-of-two cache",
+            ),
+            ("plan --dims 18446744073709551615x2", "overflows"),
+            ("plan --dims 2x18446744073709551614", "overflows"),
+            ("advise --n 18446744073709551615 --steps 4", "overflows"),
+            ("tiles --cache 0", "--cache >= 1"),
+        ] {
+            let err = run_line(line).unwrap_err();
+            assert!(err.contains(want), "{line}: {err}");
+        }
+        // Queries that run neither GcdPad nor Pad take any non-zero cache,
+        // and padded dims never fall below the logical ones.
+        run_line("advise --n 300 --cache-kb 24").unwrap();
+        run_line("oracle --kernel jacobi --n 40 --nk 8 --cache-kb 24 --transform euc3d").unwrap();
+        let out = run_line("plan --dims 9223372036854775807x2 --format json").unwrap();
+        assert!(out.contains(r#""padded_di":9223372036854775807"#), "{out}");
     }
 
     #[test]

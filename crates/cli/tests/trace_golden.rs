@@ -121,6 +121,8 @@ fn profile_trace_is_valid_and_jobs_invariant() {
     assert_eq!(c1, c4, "counter snapshot differs across --jobs");
     for key in [
         "plan.calls",
+        "plan.pads_tried",
+        "plan.euc3d_columns",
         "cachesim.l1.accesses",
         "cachesim.row.points",
         "cachesim.row.points_exact",

@@ -19,7 +19,7 @@ use crate::legality::{certificate_for, SweepDiscipline};
 use crate::missmodel::{
     histogram, predict_level, KernelModel, LevelGeometry, LevelPrediction, PlanSchedule, Problem,
 };
-use crate::plan::{plan, CacheSpec, Transform, TransformPlan};
+use crate::plan::{check_plan, plan, CacheSpec, Transform, TransformPlan};
 use crate::temporal::{
     plan_temporal, plan_temporal_certified, temporal_certificate, TemporalKernel, TemporalPlan,
 };
@@ -464,7 +464,7 @@ impl PlanRequest {
             .unwrap_or("jacobi3d")
             .parse()?;
         let nk = num_field("nk")?.unwrap_or(30);
-        let cache = CacheSpec::from_bytes(num_field("cache_kb")?.unwrap_or(16) * 1024);
+        let cache = CacheSpec::from_kb(num_field("cache_kb")?.unwrap_or(16))?;
         let steps = num_field("steps")?.unwrap_or(0);
         let jobs = num_field("jobs")?.unwrap_or(1);
         let skewed = match v.get("skewed") {
@@ -1031,12 +1031,34 @@ fn temporal_section(
     })
 }
 
+/// Rejects, as typed errors, caches a canonical request cannot be planned
+/// for: an empty cache on every query and, on queries that run GcdPad or
+/// Pad, a cache GcdPad cannot tile or dims it cannot pad.
+fn check_cache(req: &PlanRequest, shape: &StencilShape) -> Result<(), String> {
+    if req.cache.elements == 0 {
+        return Err("the cache must hold at least one element".into());
+    }
+    let (di, dj) = match req.query {
+        PlanQuery::Plan => (req.di, req.dj),
+        PlanQuery::Legality { .. } | PlanQuery::Locality { .. } => (req.di, req.di),
+        _ => return Ok(()),
+    };
+    check_plan(&req.transforms.list(), req.cache, di, dj, shape).map_err(|e| e.to_string())
+}
+
+/// `di * dj` elements of one plane, or a typed error when it overflows.
+fn plane_elements(di: usize, dj: usize) -> Result<usize, String> {
+    di.checked_mul(dj)
+        .ok_or_else(|| format!("a {di}x{dj} plane overflows the element count"))
+}
+
 /// Answers a [`PlanRequest`]. The request is canonicalized first, so any
 /// two requests with equal [`PlanRequest::cache_key`]s produce identical
 /// responses — the invariant the memoizing `serve` cache relies on.
 pub fn respond(req: &PlanRequest) -> Result<PlanResponse, String> {
     let req = req.canonical();
     let shape = req.stencil.shape();
+    check_cache(&req, &shape)?;
     match req.query {
         PlanQuery::Plan => {
             if req.di == 0 || req.dj == 0 {
@@ -1049,7 +1071,11 @@ pub fn respond(req: &PlanRequest) -> Result<PlanResponse, String> {
                 .map(|t| plan(t, req.cache, req.di, req.dj, &shape))
                 .collect();
             let temporal = if req.steps > 0 {
-                Some(temporal_section(&req, req.di * req.dj, true)?)
+                Some(temporal_section(
+                    &req,
+                    plane_elements(req.di, req.dj)?,
+                    true,
+                )?)
             } else {
                 None
             };
@@ -1069,7 +1095,7 @@ pub fn respond(req: &PlanRequest) -> Result<PlanResponse, String> {
                 return Err("advise requires a positive problem size".into());
             }
             let temporal = if req.steps > 0 {
-                Some(temporal_section(&req, n * n, false)?)
+                Some(temporal_section(&req, plane_elements(n, n)?, false)?)
             } else {
                 None
             };
@@ -1105,8 +1131,8 @@ pub fn respond(req: &PlanRequest) -> Result<PlanResponse, String> {
                 req.dj,
                 &shape,
                 &crate::Euc3dOptions {
-                    depths: None,
                     unit_tile_fallback: true,
+                    ..crate::Euc3dOptions::default()
                 },
             );
             let candidates = sel.candidates.len();
@@ -1350,6 +1376,70 @@ mod tests {
             panic!("wrong response kind");
         };
         assert!(!r.certificate.is_legal());
+    }
+
+    #[test]
+    fn bad_caches_and_unpaddable_dims_are_typed_errors() {
+        for (req, want) in [
+            (
+                r#"{"query":"plan","n":300,"cache_kb":24}"#,
+                "power-of-two cache",
+            ),
+            (r#"{"query":"plan","n":300,"cache_kb":0}"#, "at least 1"),
+            (r#"{"query":"euc3d","n":300,"cache_kb":0}"#, "at least 1"),
+            (r#"{"query":"advise","n":300,"cache_kb":0}"#, "at least 1"),
+            (
+                r#"{"query":"temporal-legality","cache_kb":0}"#,
+                "at least 1",
+            ),
+            (
+                r#"{"query":"plan","n":300,"cache_kb":18014398509481984}"#,
+                "overflows",
+            ),
+            (
+                r#"{"query":"plan","n":300,"cache_kb":24,"transform":"gcdpadnt"}"#,
+                "power-of-two cache",
+            ),
+            (
+                r#"{"query":"legality","kernel":"jacobi","n":64,"cache_kb":24}"#,
+                "power-of-two cache",
+            ),
+            (
+                r#"{"query":"locality","kernel":"jacobi","n":64,"cache_kb":24}"#,
+                "power-of-two cache",
+            ),
+            (
+                r#"{"query":"plan","di":1.8446744073709552e19,"dj":2}"#,
+                "overflows",
+            ),
+            (
+                r#"{"query":"plan","di":4294967296,"dj":4294967296,"steps":2,"transform":"orig"}"#,
+                "overflows",
+            ),
+        ] {
+            let v = json::parse(req).unwrap();
+            let err = PlanRequest::from_json(&v)
+                .and_then(|r| respond_enveloped(&r))
+                .unwrap_err();
+            assert!(err.contains(want), "{req}: {err}");
+        }
+        // A programmatic request bypasses the wire parse: an empty cache is
+        // still refused, and so is one GcdPad cannot tile.
+        let empty = PlanRequest::plan(ReqStencil::Jacobi3d, 64, 64, CacheSpec { elements: 0 });
+        assert!(respond_enveloped(&empty).is_err());
+        let tiny = PlanRequest::plan(ReqStencil::Jacobi3d, 64, 64, CacheSpec { elements: 4 });
+        assert!(respond_enveloped(&tiny)
+            .unwrap_err()
+            .contains("cannot hold"));
+        // Queries that run neither GcdPad nor Pad accept any non-zero size.
+        for req in [
+            r#"{"query":"euc3d","n":300,"cache_kb":24}"#,
+            r#"{"query":"advise","n":300,"cache_kb":24}"#,
+            r#"{"query":"plan","n":300,"cache_kb":24,"transform":"euc3d"}"#,
+            r#"{"query":"plan","n":300,"cache_kb":1}"#,
+        ] {
+            respond_enveloped(&parse_req(req)).unwrap_or_else(|e| panic!("{req}: {e}"));
+        }
     }
 
     #[test]

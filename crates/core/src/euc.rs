@@ -18,8 +18,7 @@ pub struct TileSelection {
     pub cost: f64,
 }
 
-/// Options for [`euc3d_select`], the single entry point behind the
-/// previous `euc3d` / `euc3d_checked` / `euc3d_with_depths` triplet.
+/// Options for [`euc3d_select`], the single Euc3D entry point.
 #[derive(Clone, Debug, Default)]
 pub struct Euc3dOptions {
     /// Array-tile depths (`TK`) to enumerate. `None` means the stencil's
@@ -35,6 +34,12 @@ pub struct Euc3dOptions {
     /// best tile — the source of the paper's "pathologically irregular
     /// tile size" spikes in Figs 14-19.
     pub unit_tile_fallback: bool,
+    /// Smallest array-tile `TI` to enumerate (`0` = every tile). Each depth's
+    /// enumeration stops once its running gap drops below this floor, and
+    /// candidates are exactly the full list filtered to `ti >= min_ti`
+    /// ([`enumerate_depth`]). `Pad` sets it to the `TI` below which no tile
+    /// can meet its cost threshold (DESIGN.md §5).
+    pub min_ti: usize,
 }
 
 /// Output of [`euc3d_select`]: the winning tile (if any) plus every
@@ -54,9 +59,8 @@ pub struct Euc3dSelection {
 /// array dimensions, trim each by the stencil spans `(m, n)`, and select
 /// the iteration tile minimising the cost function.
 ///
-/// This is the single configurable entry point; the legacy wrappers
-/// [`euc3d`], [`euc3d_checked`] and [`euc3d_with_depths`] are thin calls
-/// into it.
+/// This is the single configurable entry point; [`euc3d`] is the
+/// infallible Fig 9 call into it.
 pub fn euc3d_select(
     cache: CacheSpec,
     di: usize,
@@ -70,7 +74,7 @@ pub fn euc3d_select(
     let mut candidates = Vec::new();
     let mut best: Option<TileSelection> = None;
     for tk in depths {
-        for at in enumerate_depth(cache.elements, di, dj, tk) {
+        for at in enumerate_depth(cache.elements, di, dj, tk, opts.min_ti) {
             let v = cost.eval_array_tile(at.ti, at.tj);
             if !v.is_finite() {
                 continue;
@@ -103,21 +107,9 @@ pub fn euc3d_select(
     Euc3dSelection { best, candidates }
 }
 
-/// **Deprecated spelling** — use [`euc3d_select`] with
-/// [`Euc3dOptions::default`]. Returns the minimum-cost selection at
-/// `TK = ATD`, or `None` when no array tile survives trimming.
-pub fn euc3d_checked(
-    cache: CacheSpec,
-    di: usize,
-    dj: usize,
-    shape: &StencilShape,
-) -> Option<TileSelection> {
-    euc3d_select(cache, di, dj, shape, &Euc3dOptions::default()).best
-}
-
-/// **Deprecated spelling** — use [`euc3d_select`] with
-/// `unit_tile_fallback: true`. Infallible Fig 9 selection, degenerating to
-/// the `1 x 1` iteration tile for pathological dimensions.
+/// Infallible Fig 9 selection: [`euc3d_select`] with
+/// `unit_tile_fallback: true`, degenerating to the `1 x 1` iteration tile
+/// for pathological dimensions.
 pub fn euc3d(cache: CacheSpec, di: usize, dj: usize, shape: &StencilShape) -> TileSelection {
     euc3d_select(
         cache,
@@ -125,35 +117,12 @@ pub fn euc3d(cache: CacheSpec, di: usize, dj: usize, shape: &StencilShape) -> Ti
         dj,
         shape,
         &Euc3dOptions {
-            depths: None,
             unit_tile_fallback: true,
+            ..Euc3dOptions::default()
         },
     )
     .best
     .expect("unit_tile_fallback guarantees a selection")
-}
-
-/// **Deprecated spelling** — use [`euc3d_select`] with an explicit
-/// `depths` range and read `candidates`. The paper's Table 1 enumeration
-/// (with trimming applied).
-pub fn euc3d_with_depths(
-    cache: CacheSpec,
-    di: usize,
-    dj: usize,
-    shape: &StencilShape,
-    depths: std::ops::RangeInclusive<usize>,
-) -> Vec<TileSelection> {
-    euc3d_select(
-        cache,
-        di,
-        dj,
-        shape,
-        &Euc3dOptions {
-            depths: Some(depths),
-            unit_tile_fallback: false,
-        },
-    )
-    .candidates
 }
 
 #[cfg(test)]
@@ -197,7 +166,7 @@ mod tests {
                 &shape,
                 &Euc3dOptions {
                     depths: Some(tk..=tk),
-                    unit_tile_fallback: false,
+                    ..Euc3dOptions::default()
                 },
             )
             .best
@@ -218,15 +187,14 @@ mod tests {
     }
 
     #[test]
-    fn select_candidates_carry_the_best_and_wrappers_agree() {
+    fn select_candidates_carry_the_best_and_euc3d_agrees() {
         let shape = StencilShape::jacobi3d();
         let sel = euc3d_select(spec(), 200, 200, &shape, &Euc3dOptions::default());
         let best = sel.best.expect("200x200 has real tiles");
         assert_eq!(best.iter_tile, (22, 13));
         assert!(sel.candidates.iter().any(|c| c.iter_tile == best.iter_tile));
         assert!(sel.candidates.iter().all(|c| c.cost >= best.cost));
-        // The legacy wrappers are views of the same computation.
-        assert_eq!(euc3d_checked(spec(), 200, 200, &shape), Some(best));
+        // The infallible Fig 9 call is a view of the same computation.
         assert_eq!(euc3d(spec(), 200, 200, &shape), best);
     }
 
@@ -249,8 +217,18 @@ mod tests {
     }
 
     #[test]
-    fn with_depths_lists_trimmed_candidates() {
-        let cands = euc3d_with_depths(spec(), 200, 200, &StencilShape::jacobi3d(), 1..=4);
+    fn depth_range_lists_trimmed_candidates() {
+        let cands = euc3d_select(
+            spec(),
+            200,
+            200,
+            &StencilShape::jacobi3d(),
+            &Euc3dOptions {
+                depths: Some(1..=4),
+                ..Euc3dOptions::default()
+            },
+        )
+        .candidates;
         // Every candidate has positive trimmed dims and finite cost.
         for c in &cands {
             assert!(c.iter_tile.0 > 0 && c.iter_tile.1 > 0);
@@ -284,7 +262,7 @@ mod tests {
                 &StencilShape::jacobi3d(),
                 &Euc3dOptions {
                     depths: Some(1..=4),
-                    unit_tile_fallback: false,
+                    ..Euc3dOptions::default()
                 },
             );
             assert!(
@@ -300,13 +278,14 @@ mod tests {
     #[test]
     fn tiny_cache_returns_none() {
         // A 4-element cache cannot hold any trimmed Jacobi tile.
-        let sel = euc3d_checked(
+        let sel = euc3d_select(
             CacheSpec { elements: 4 },
             100,
             100,
             &StencilShape::jacobi3d(),
+            &Euc3dOptions::default(),
         );
-        assert!(sel.is_none());
+        assert!(sel.best.is_none());
     }
 
     #[test]

@@ -19,6 +19,40 @@ pub struct GcdPadPlan {
     pub dj_p: usize,
 }
 
+/// Why `GcdPad` (and so `Pad`, which starts from it) cannot plan a
+/// request.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GcdPadError {
+    /// The cache size in elements is not a power of two, so no
+    /// power-of-two tile tessellates it.
+    CacheNotPowerOfTwo(usize),
+    /// The cache (in elements) cannot hold a tile that stays positive
+    /// after trimming by the stencil spans.
+    CacheTooSmall(usize),
+    /// Padding this array dimension overflows `usize`.
+    PaddedDimOverflow(usize),
+}
+
+impl std::fmt::Display for GcdPadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            GcdPadError::CacheNotPowerOfTwo(c) => write!(
+                f,
+                "GcdPad and Pad require a power-of-two cache size, got {c} elements"
+            ),
+            GcdPadError::CacheTooSmall(c) => write!(
+                f,
+                "a cache of {c} elements cannot hold a GcdPad tile for this stencil"
+            ),
+            GcdPadError::PaddedDimOverflow(d) => {
+                write!(f, "padding array dimension {d} overflows")
+            }
+        }
+    }
+}
+
+impl std::error::Error for GcdPadError {}
+
 /// `GcdPad` (Fig 10).
 ///
 /// Chooses `TK` (4 by default — "3-4 tile planes must exist in cache
@@ -38,8 +72,9 @@ pub struct GcdPadPlan {
 /// self-interference.
 ///
 /// # Panics
-/// Panics if the cache (in elements) is not a power of two, or is too small
-/// to produce a positive trimmed tile for this stencil.
+/// Panics where [`try_gcd_pad`] returns an error: a cache (in elements)
+/// that is not a power of two or is too small to produce a positive
+/// trimmed tile for this stencil, or a dimension too large to pad.
 ///
 /// # Example
 ///
@@ -53,43 +88,54 @@ pub struct GcdPadPlan {
 /// assert!(g.di_p >= 200 && g.dj_p >= 200);
 /// ```
 pub fn gcd_pad(cache: CacheSpec, di: usize, dj: usize, shape: &StencilShape) -> GcdPadPlan {
+    try_gcd_pad(cache, di, dj, shape).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`gcd_pad`] with its preconditions as a typed error: the checks the
+/// planning API runs before any GcdPad or Pad plan.
+pub fn try_gcd_pad(
+    cache: CacheSpec,
+    di: usize,
+    dj: usize,
+    shape: &StencilShape,
+) -> Result<GcdPadPlan, GcdPadError> {
     let c = cache.elements;
-    assert!(
-        c.is_power_of_two(),
-        "GcdPad requires a power-of-two cache size, got {c}"
-    );
+    if !c.is_power_of_two() {
+        return Err(GcdPadError::CacheNotPowerOfTwo(c));
+    }
     let cost = CostModel::from_shape(shape);
 
     // TK: at least the stencil's plane working set, at least the paper's
     // default of 4, rounded to a power of two so it divides C.
     let tk = shape.atd().max(4).next_power_of_two();
-    assert!(tk < c, "cache of {c} elements cannot hold {tk} tile planes");
+    if tk >= c {
+        return Err(GcdPadError::CacheTooSmall(c));
+    }
 
     // TI = smallest power of two >= sqrt(C/TK); TJ = C/(TK*TI).
     let ti = smallest_pow2_at_least_sqrt(c / tk);
     let tj = c / (tk * ti);
-    assert!(
-        ti > cost.m && tj > cost.n,
-        "GcdPad tile ({ti}, {tj}) too small to trim by ({}, {})",
-        cost.m,
-        cost.n
-    );
+    if ti <= cost.m || tj <= cost.n {
+        return Err(GcdPadError::CacheTooSmall(c));
+    }
 
-    GcdPadPlan {
+    Ok(GcdPadPlan {
         iter_tile: (ti - cost.m, tj - cost.n),
         array_tile: ArrayTile { ti, tj, tk },
-        di_p: pad_dim(di, ti),
-        dj_p: pad_dim(dj, tj),
-    }
+        di_p: pad_dim(di, ti).ok_or(GcdPadError::PaddedDimOverflow(di))?,
+        dj_p: pad_dim(dj, tj).ok_or(GcdPadError::PaddedDimOverflow(dj))?,
+    })
 }
 
 /// `DI_p = 2*T*floor((DI + 3T - 1)/(2T)) - T`: the smallest value `>= DI`
 /// congruent to `T (mod 2T)`... except when `DI` is within `T-1` above a
 /// multiple of `2T`, where it lands one period later (the paper's worked
 /// intervals: for `T = 32`, `224 < DI <= 288` maps to 288, the next
-/// 64-interval to 352).
-fn pad_dim(d: usize, t: usize) -> usize {
-    2 * t * ((d + 3 * t - 1) / (2 * t)) - t
+/// 64-interval to 352). `None` when the arithmetic overflows `usize`.
+fn pad_dim(d: usize, t: usize) -> Option<usize> {
+    let period = t.checked_mul(2)?;
+    let periods = d.checked_add(t.checked_mul(3)? - 1)? / period;
+    periods.checked_mul(period)?.checked_sub(t)
 }
 
 fn smallest_pow2_at_least_sqrt(x: usize) -> usize {
@@ -135,12 +181,12 @@ mod tests {
         // "when 224 < DI <= 288, DI_p is set to 288 ... in the next
         // 64-interval, DI_p is set to 352."
         for di in 225..=288 {
-            assert_eq!(pad_dim(di, 32), 288, "di={di}");
+            assert_eq!(pad_dim(di, 32), Some(288), "di={di}");
         }
         for di in 289..=352 {
-            assert_eq!(pad_dim(di, 32), 352, "di={di}");
+            assert_eq!(pad_dim(di, 32), Some(352), "di={di}");
         }
-        assert_eq!(pad_dim(224, 32), 224); // already congruent: no pad
+        assert_eq!(pad_dim(224, 32), Some(224)); // already congruent: no pad
     }
 
     #[test]
@@ -148,9 +194,9 @@ mod tests {
         // "this requires padding DI at most 2*TI - 1 = 63 and DJ by at
         // most 2*TJ - 1 = 31".
         for d in 1..2000 {
-            let p32 = pad_dim(d, 32);
+            let p32 = pad_dim(d, 32).unwrap();
             assert!(p32 >= d && p32 - d <= 63, "d={d} p={p32}");
-            let p16 = pad_dim(d, 16);
+            let p16 = pad_dim(d, 16).unwrap();
             assert!(p16 >= d && p16 - d <= 31, "d={d} p={p16}");
         }
     }
@@ -208,7 +254,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "power-of-two cache")]
     fn non_power_of_two_cache_is_rejected() {
         let _ = gcd_pad(
             CacheSpec { elements: 1000 },
@@ -216,5 +262,49 @@ mod tests {
             100,
             &StencilShape::jacobi3d(),
         );
+    }
+
+    #[test]
+    fn bad_caches_are_typed_errors() {
+        let shape = StencilShape::jacobi3d();
+        let at = |elements| try_gcd_pad(CacheSpec { elements }, 100, 100, &shape);
+        assert_eq!(at(3072), Err(GcdPadError::CacheNotPowerOfTwo(3072)));
+        assert_eq!(at(0), Err(GcdPadError::CacheNotPowerOfTwo(0)));
+        for tiny in [1, 2, 4, 8, 16] {
+            assert_eq!(at(tiny), Err(GcdPadError::CacheTooSmall(tiny)), "{tiny}");
+        }
+        // 1 KB of doubles is the smallest cache the API accepts.
+        assert!(at(128).is_ok());
+    }
+
+    #[test]
+    fn padding_never_shrinks_a_dimension() {
+        // Near usize::MAX the padded dimension would wrap below the
+        // logical one; it is a typed error instead.
+        for t in [8usize, 16, 32, 64] {
+            for d in [
+                usize::MAX,
+                usize::MAX - 1,
+                usize::MAX - 3 * t,
+                usize::MAX / 2,
+            ] {
+                match pad_dim(d, t) {
+                    Some(p) => assert!(p >= d && p - d < 2 * t, "d={d} t={t} p={p}"),
+                    None => assert!(d > usize::MAX - 3 * t, "d={d} t={t}"),
+                }
+            }
+        }
+        let shape = StencilShape::jacobi3d();
+        let cache = CacheSpec::ELEMENTS_16K_DOUBLES;
+        assert_eq!(
+            try_gcd_pad(cache, usize::MAX, 2, &shape),
+            Err(GcdPadError::PaddedDimOverflow(usize::MAX))
+        );
+        assert_eq!(
+            try_gcd_pad(cache, 2, usize::MAX - 1, &shape),
+            Err(GcdPadError::PaddedDimOverflow(usize::MAX - 1))
+        );
+        let g = try_gcd_pad(cache, usize::MAX / 2, 2, &shape).unwrap();
+        assert!(g.di_p >= usize::MAX / 2);
     }
 }

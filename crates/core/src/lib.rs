@@ -60,11 +60,8 @@ pub use api::{
 };
 pub use cost::CostModel;
 pub use effcache::effective_cache_tile;
-pub use euc::{
-    euc3d, euc3d_checked, euc3d_select, euc3d_with_depths, Euc3dOptions, Euc3dSelection,
-    TileSelection,
-};
-pub use gcdpad::{gcd_pad, GcdPadPlan};
+pub use euc::{euc3d, euc3d_select, Euc3dOptions, Euc3dSelection, TileSelection};
+pub use gcdpad::{gcd_pad, try_gcd_pad, GcdPadError, GcdPadPlan};
 pub use legality::{plan_certified, CertifiedPlan, IllegalPlan, SweepDiscipline};
 pub use missmodel::{
     histogram, lower_bound_misses, predict_level, KernelModel, LevelGeometry, LevelPrediction,
@@ -73,7 +70,7 @@ pub use missmodel::{
 pub use nonconflict::ArrayTile;
 pub use overhead::{memory_overhead_pct, padded_elements};
 pub use padsearch::pad;
-pub use plan::{plan, CacheSpec, Transform, TransformPlan};
+pub use plan::{check_plan, plan, CacheSpec, Transform, TransformPlan};
 pub use temporal::{
     plan_temporal, plan_temporal_certified, temporal_certificate, CertifiedTemporalPlan,
     IllegalTemporalPlan, TemporalKernel, TemporalPlan,

@@ -70,14 +70,20 @@ pub fn max_ti(c: usize, di: usize, dj: usize, tj: usize, tk: usize) -> usize {
 }
 
 /// Enumerates the maximal non-conflicting array tiles of depth exactly
-/// `tk`, in decreasing `ti` / increasing `tj` order.
+/// `tk` with `ti >= min_ti`, in decreasing `ti` / increasing `tj` order.
 ///
 /// Runs the incremental sorted-set construction: columns are added one at a
 /// time (each contributing `tk` segment starts) while a running minimum gap
 /// is maintained; every time the gap decreases, the previous `(gap, tj)`
 /// pair is emitted as a maximal tile. Enumeration stops when two segments
 /// collide (gap 0), which by pigeonhole happens within `C/tk + 1` columns.
-pub fn enumerate_depth(c: usize, di: usize, dj: usize, tk: usize) -> Vec<ArrayTile> {
+///
+/// The running gap never grows, so emitted tiles come in strictly
+/// decreasing `ti`: once the gap drops below `min_ti` no later tile can
+/// reach it and the scan stops there. The result is exactly the full
+/// enumeration filtered to `ti >= min_ti`; `min_ti = 0` is the full list.
+/// Columns scanned are counted in the `plan.euc3d_columns` counter.
+pub fn enumerate_depth(c: usize, di: usize, dj: usize, tk: usize, min_ti: usize) -> Vec<ArrayTile> {
     assert!(c > 0 && tk > 0);
     let dj_step = di % c;
     let dk_step = (di % c) * (dj % c) % c;
@@ -86,8 +92,10 @@ pub fn enumerate_depth(c: usize, di: usize, dj: usize, tk: usize) -> Vec<ArrayTi
     let mut min_gap = c; // gap of a single point on the circle
     let mut tiles = Vec::new();
     let mut prev: Option<(usize, usize)> = None; // (gap, tj)
+    let mut columns: u64 = 0;
 
     'cols: for tj in 1..=c {
+        columns += 1;
         for k in 0..tk {
             let x = (dj_step * (tj - 1) + dk_step * k) % c;
             if !set.insert(x) {
@@ -125,12 +133,20 @@ pub fn enumerate_depth(c: usize, di: usize, dj: usize, tk: usize) -> Vec<ArrayTi
                 });
             }
         }
+        if min_gap < min_ti {
+            // Every later plateau is at most this gap: none reaches the floor.
+            prev = None;
+            break;
+        }
         prev = Some((min_gap, tj));
     }
     if let Some((g, t)) = prev {
         // The gap never collapsed within the scan range (possible only for
         // degenerate strides); emit the final plateau.
         tiles.push(ArrayTile { ti: g, tj: t, tk });
+    }
+    if tiling3d_obs::collecting() {
+        tiling3d_obs::counter_add("plan.euc3d_columns", columns);
     }
     tiles
 }
@@ -139,7 +155,7 @@ pub fn enumerate_depth(c: usize, di: usize, dj: usize, tk: usize) -> Vec<ArrayTi
 /// `1 ..= tk_max` — the paper's Table 1 content.
 pub fn enumerate_array_tiles(c: usize, di: usize, dj: usize, tk_max: usize) -> Vec<ArrayTile> {
     (1..=tk_max)
-        .flat_map(|tk| enumerate_depth(c, di, dj, tk))
+        .flat_map(|tk| enumerate_depth(c, di, dj, tk, 0))
         .collect()
 }
 
@@ -237,14 +253,14 @@ mod tests {
 
     #[test]
     fn depths_one_and_two_match_table1_exactly() {
-        let d1 = enumerate_depth(2048, 200, 200, 1);
+        let d1 = enumerate_depth(2048, 200, 200, 1, 0);
         assert_eq!(
             d1.iter().map(|t| (t.ti, t.tj)).collect::<Vec<_>>(),
             vec![(2048, 1), (200, 10), (48, 41), (8, 256)]
         );
         // Table 1's TK=2 row is a prefix — the paper truncates the listing
         // (our enumeration also finds the further breakpoint (8, 56)).
-        let d2: Vec<(usize, usize)> = enumerate_depth(2048, 200, 200, 2)
+        let d2: Vec<(usize, usize)> = enumerate_depth(2048, 200, 200, 2, 0)
             .iter()
             .map(|t| (t.ti, t.tj))
             .collect();
@@ -255,7 +271,7 @@ mod tests {
     fn euclid_matches_depth_one_enumeration() {
         for &di in &[200, 341, 130, 256, 300, 1000, 777] {
             let euc = euclid_tiles_2d(2048, di);
-            let enumr: Vec<(usize, usize)> = enumerate_depth(2048, di, di, 1)
+            let enumr: Vec<(usize, usize)> = enumerate_depth(2048, di, di, 1, 0)
                 .iter()
                 .map(|t| (t.ti, t.tj))
                 .collect();
@@ -302,7 +318,7 @@ mod tests {
     fn max_ti_agrees_with_enumeration_plateaus() {
         let (c, di, dj) = (2048, 200, 200);
         for tk in 1..=4 {
-            let tiles = enumerate_depth(c, di, dj, tk);
+            let tiles = enumerate_depth(c, di, dj, tk, 0);
             for t in &tiles {
                 assert_eq!(max_ti(c, di, dj, t.tj, tk), t.ti);
             }
@@ -321,7 +337,7 @@ mod tests {
         // tile is pathologically narrow. The underlying maximal array tile
         // is therefore (112, 6, tk>=3). Check that nothing wider exists at
         // reasonable cost.
-        let tiles = enumerate_depth(2048, 341, 341, 3);
+        let tiles = enumerate_depth(2048, 341, 341, 3, 0);
         // No tile of depth 3 offers tj >= 7 with ti >= 8 for 341:
         let wide = tiles.iter().find(|t| t.tj >= 7 && t.ti >= 8);
         assert!(wide.is_none(), "unexpected wide tile: {wide:?}");
@@ -353,6 +369,38 @@ mod tests {
     }
 
     #[test]
+    fn floored_enumeration_is_the_filtered_full_enumeration() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for _ in 0..400 {
+            let c = 1usize << (4 + (next() % 10) as usize); // 16..=8192
+            let di = 1 + (next() % 1100) as usize;
+            let dj = 1 + (next() % 1100) as usize;
+            let tk = 1 + (next() % 4) as usize;
+            let full = enumerate_depth(c, di, dj, tk, 0);
+            // Floors on, between and beyond the emitted TI values.
+            let mut floors = vec![1, c, c + 1, (next() % (c as u64 + 2)) as usize];
+            for t in &full {
+                floors.extend([t.ti - 1, t.ti, t.ti + 1]);
+            }
+            for min_ti in floors {
+                let want: Vec<ArrayTile> =
+                    full.iter().copied().filter(|t| t.ti >= min_ti).collect();
+                assert_eq!(
+                    enumerate_depth(c, di, dj, tk, min_ti),
+                    want,
+                    "c={c} di={di} dj={dj} tk={tk} min_ti={min_ti}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn enumeration_matches_bruteforce() {
         // Deterministic pseudo-random sweep (the broader invariant suite
         // lives in tests/invariants.rs).
@@ -368,7 +416,7 @@ mod tests {
             let di = 3 + (next() % 500) as usize;
             let dj = 3 + (next() % 500) as usize;
             let tk = 1 + (next() % 4) as usize;
-            let tiles = enumerate_depth(c, di, dj, tk);
+            let tiles = enumerate_depth(c, di, dj, tk, 0);
             for t in &tiles {
                 assert_eq!(
                     max_ti(c, di, dj, t.tj, tk),

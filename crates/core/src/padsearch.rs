@@ -28,19 +28,27 @@ pub struct PadPlan {
 /// search always terminates with a plan whose cost `<= Cost*` and whose
 /// padding overhead is `<=` `GcdPad`'s — usually far less (Fig 22: 4.7% vs
 /// 14.7% average memory increase for JACOBI).
+///
+/// Each candidate's `Euc3D` enumeration stops at the array-tile `TI`
+/// below which no tile can cost `<= Cost*`, so the floor changes neither
+/// the chosen pad nor its tile (DESIGN.md §5).
 pub fn pad(cache: CacheSpec, di: usize, dj: usize, shape: &StencilShape) -> PadPlan {
     let g = gcd_pad(cache, di, dj, shape);
     let cost = CostModel::from_shape(shape);
     let cost_star = cost.eval(g.iter_tile.0 as i64, g.iter_tile.1 as i64);
-    let opts = Euc3dOptions::default();
+    let limit = cost_star + 1e-12;
+    let floored = Euc3dOptions {
+        min_ti: ti_floor(cost.m, cache.elements, limit),
+        ..Euc3dOptions::default()
+    };
     let mut pads_tried: u64 = 0;
 
     let mut result = None;
     'search: for di_p in di..=g.di_p {
         for dj_p in dj..=g.dj_p {
             pads_tried += 1;
-            if let Some(sel) = euc3d_select(cache, di_p, dj_p, shape, &opts).best {
-                if sel.cost <= cost_star + 1e-12 {
+            if let Some(sel) = euc3d_select(cache, di_p, dj_p, shape, &floored).best {
+                if sel.cost <= limit {
                     result = Some(PadPlan {
                         selection: sel,
                         di_p,
@@ -60,7 +68,7 @@ pub fn pad(cache: CacheSpec, di: usize, dj: usize, shape: &StencilShape) -> PadP
 
     // Unreachable when GcdPad's invariants hold; keep a deterministic
     // fallback to the GcdPad dimensions for robustness.
-    let sel = euc3d_select(cache, g.di_p, g.dj_p, shape, &opts)
+    let sel = euc3d_select(cache, g.di_p, g.dj_p, shape, &Euc3dOptions::default())
         .best
         .expect("Euc3D must find a tile at GcdPad's own dimensions");
     PadPlan {
@@ -70,6 +78,32 @@ pub fn pad(cache: CacheSpec, di: usize, dj: usize, shape: &StencilShape) -> PadP
     }
 }
 
+/// The smallest array-tile `TI` (of at most `c + 1`) whose trimming factor
+/// `TI / (TI - m)` is within `limit`.
+///
+/// An array tile costs `TI/(TI-m) * TJ/(TJ-n) >= TI/(TI-m)`, and the factor
+/// falls as `TI` grows, so every tile with a shorter `TI` costs more than
+/// `limit`. That also holds for the computed costs: the factor here and
+/// [`CostModel::eval`] each round an exact quotient once, rounding is
+/// monotone, and the few ulps of slack cover caches so large that the
+/// cost model's products round too.
+fn ti_floor(m: usize, c: usize, limit: f64) -> usize {
+    let slack = limit * (1.0 + 8.0 * f64::EPSILON);
+    let meets = |ti: usize| ti as f64 / (ti - m) as f64 <= slack;
+    // Binary search on the monotone predicate over `m+1 ..= c`; `c + 1`
+    // stands for "no tile meets it".
+    let (mut lo, mut hi) = (m + 1, c.max(m) + 1);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if meets(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,6 +111,29 @@ mod tests {
 
     fn spec() -> CacheSpec {
         CacheSpec { elements: 2048 }
+    }
+
+    #[test]
+    fn ti_floor_is_the_first_ti_whose_trim_factor_meets_the_limit() {
+        let factor = |ti: usize, m: usize| ti as f64 / (ti - m) as f64;
+        for m in [0usize, 1, 2, 4] {
+            for c in [64usize, 2048, 8192] {
+                for limit in [1.0, 1.0 + 1e-12, 1.05, 1.2189, 1.5, 3.0, 1e9] {
+                    let f = ti_floor(m, c, limit);
+                    assert!(f > m && f <= c + 1, "m={m} c={c} limit={limit}: {f}");
+                    if f <= c {
+                        assert!(factor(f, m) <= limit * (1.0 + 1e-12));
+                    }
+                    if f > m + 1 {
+                        assert!(factor(f - 1, m) > limit, "m={m} c={c} limit={limit}: {f}");
+                    }
+                }
+            }
+        }
+        // JACOBI at 16 KB: Cost* = cost(30, 14) = 32*16/(30*14); the floor
+        // is the first TI with TI/(TI-2) <= 1.219..., i.e. TI >= 12.
+        let limit = (32.0 * 16.0) / (30.0 * 14.0) + 1e-12;
+        assert_eq!(ti_floor(2, 2048, limit), 12);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The transformation taxonomy (Table 2) and the planning driver.
 
 use crate::cost::CostModel;
-use crate::gcdpad::gcd_pad;
+use crate::gcdpad::{gcd_pad, try_gcd_pad, GcdPadError};
 use crate::padsearch::pad;
 use tiling3d_loopnest::StencilShape;
 
@@ -22,6 +22,19 @@ impl CacheSpec {
         CacheSpec {
             elements: bytes / std::mem::size_of::<f64>(),
         }
+    }
+
+    /// Builds a spec from a capacity in KB — the `cache_kb` wire field and
+    /// the CLI's `--cache-kb` — rejecting zero and sizes whose byte count
+    /// overflows. (Power-of-two-ness is checked per query: only GcdPad and
+    /// Pad need it.)
+    pub fn from_kb(kb: usize) -> Result<Self, String> {
+        if kb == 0 {
+            return Err("cache_kb must be at least 1".into());
+        }
+        kb.checked_mul(1024)
+            .map(CacheSpec::from_bytes)
+            .ok_or_else(|| format!("cache_kb {kb} overflows the byte count"))
     }
 }
 
@@ -104,6 +117,26 @@ pub struct TransformPlan {
     pub padded_dj: usize,
     /// Modelled cost of the tile (`INFINITY` when untiled).
     pub cost: f64,
+}
+
+/// Checks that [`plan`] can resolve every transform in `ts` for this cache
+/// and these dims: GcdPad, Pad and GcdPadNT need a cache GcdPad can tile
+/// and dims it can pad ([`try_gcd_pad`]); the other transforms take any
+/// cache.
+pub fn check_plan(
+    ts: &[Transform],
+    cache: CacheSpec,
+    di: usize,
+    dj: usize,
+    shape: &StencilShape,
+) -> Result<(), GcdPadError> {
+    let pads = ts
+        .iter()
+        .any(|t| matches!(t, Transform::GcdPad | Transform::Pad | Transform::GcdPadNT));
+    if pads {
+        try_gcd_pad(cache, di, dj, shape)?;
+    }
+    Ok(())
 }
 
 /// Resolves a [`Transform`] into a concrete [`TransformPlan`] for a
@@ -286,6 +319,16 @@ mod tests {
         // ...while Tile (square root of nothing) falls back to untiled.
         let p = plan(Transform::Tile, tiny, 100, 100, &StencilShape::jacobi3d());
         assert_eq!(p.tile, None);
+    }
+
+    #[test]
+    fn from_kb_rejects_zero_and_overflow() {
+        assert_eq!(CacheSpec::from_kb(16), Ok(CacheSpec::ELEMENTS_16K_DOUBLES));
+        assert!(CacheSpec::from_kb(0).unwrap_err().contains("at least 1"));
+        assert!(CacheSpec::from_kb(usize::MAX / 1024 + 1)
+            .unwrap_err()
+            .contains("overflows"));
+        assert!(CacheSpec::from_kb(usize::MAX / 1024).is_ok());
     }
 
     #[test]

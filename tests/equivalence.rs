@@ -152,3 +152,40 @@ fn run_level_cache_replay_matches_per_access_replay() {
         }
     }
 }
+
+/// The planning counterpart of result preservation: `Pad` stops each
+/// candidate's Euc3D enumeration at the tile height below which nothing
+/// can meet GcdPad's `Cost*`, and must still return exactly what the full
+/// enumeration returns — same pad, same tile, same cost bits. (The full
+/// grid is `crates/core/tests/pad_floor.rs`.)
+#[test]
+fn floored_pad_search_matches_full_enumeration() {
+    use tiling3d::core::{euc3d_select, gcd_pad, pad, CostModel, Euc3dOptions};
+
+    for kernel in Kernel::ALL {
+        let shape = kernel.shape();
+        for (kb, di, dj) in [(16usize, 341usize, 341usize), (16, 200, 261), (1, 61, 67)] {
+            let cache = CacheSpec::from_bytes(kb * 1024);
+            let g = gcd_pad(cache, di, dj, &shape);
+            let cost = CostModel::from_shape(&shape);
+            let cost_star = cost.eval(g.iter_tile.0 as i64, g.iter_tile.1 as i64);
+            let full = (di..=g.di_p)
+                .flat_map(|a| (dj..=g.dj_p).map(move |b| (a, b)))
+                .find_map(|(a, b)| {
+                    euc3d_select(cache, a, b, &shape, &Euc3dOptions::default())
+                        .best
+                        .filter(|s| s.cost <= cost_star + 1e-12)
+                        .map(|s| (s, a, b))
+                })
+                .expect("GcdPad's own dims always qualify");
+            let p = pad(cache, di, dj, &shape);
+            assert_eq!(
+                (p.selection, p.di_p, p.dj_p),
+                full,
+                "{} {di}x{dj}",
+                kernel.name()
+            );
+            assert_eq!(p.selection.cost.to_bits(), full.0.cost.to_bits());
+        }
+    }
+}

@@ -33,7 +33,7 @@ fn nonconflicting_enumeration_is_sound_and_maximal() {
         let di = range(&mut rng, 3, 600);
         let dj = range(&mut rng, 3, 600);
         let tk = range(&mut rng, 1, 5);
-        let tiles = enumerate_depth(c, di, dj, tk);
+        let tiles = enumerate_depth(c, di, dj, tk, 0);
         for t in &tiles {
             assert_eq!(
                 max_ti(c, di, dj, t.tj, tk),
