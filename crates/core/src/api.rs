@@ -206,11 +206,12 @@ impl std::str::FromStr for GeometryPreset {
     }
 }
 
-/// Which execution backend runs a plan's row segments (see
-/// `tiling3d_stencil::backend`): the autovectorized row engine, the
-/// explicit-lane SIMD engine, or a measured per-kernel choice. Every
-/// backend is bitwise identical to the per-point reference, so this
-/// selects *speed*, never results.
+/// Which execution engine runs a kernel's row segments (see
+/// `tiling3d_stencil::backend`): the autovectorized row engine every
+/// production sweep uses, or the explicit-lane engine kept as an
+/// independent oracle for it. Both are bitwise identical to the
+/// per-point reference, so this selects *speed*, never results; it is
+/// not part of a plan.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ExecBackend {
     /// The row-segment engine (`rowexec`) — bounds-check-free rows the
@@ -220,32 +221,14 @@ pub enum ExecBackend {
     /// The explicit-lane engine (`laneexec`) — safe chunked
     /// `[f64; LANES]` blocks with a compile-time lane/unroll strategy.
     Lane,
-    /// Probe both engines per row kernel (cached) and use the faster.
-    Auto,
 }
 
 impl ExecBackend {
-    /// Canonical lowercase spelling (the `--backend` flag values).
+    /// Canonical lowercase spelling, as in spans and bench rows.
     pub fn name(self) -> &'static str {
         match self {
             ExecBackend::Row => "row",
             ExecBackend::Lane => "lane",
-            ExecBackend::Auto => "auto",
-        }
-    }
-}
-
-impl std::str::FromStr for ExecBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "row" => Ok(ExecBackend::Row),
-            "lane" => Ok(ExecBackend::Lane),
-            "auto" => Ok(ExecBackend::Auto),
-            other => Err(format!(
-                "--backend: unknown backend '{other}' (expected row, lane or auto)"
-            )),
         }
     }
 }
@@ -622,11 +605,6 @@ pub struct PlansResponse {
     pub rows: Vec<TransformPlan>,
     /// The certified temporal tile when `steps > 0`.
     pub temporal: Option<TemporalSection>,
-    /// The execution backend a measured A/B autotune selected for this
-    /// request (`serve`'s `"autotune": true` path). `None` on the static
-    /// planning path, which never measures — keeping the memoized bytes a
-    /// pure function of the canonical request.
-    pub backend: Option<ExecBackend>,
 }
 
 /// `advise`: does the stencil at this size still have cache reuse?
@@ -848,9 +826,6 @@ impl PlanResponse {
                     ("cache_elements", Json::uint(r.cache.elements as u64)),
                     ("plans", Json::Arr(rows)),
                 ];
-                if let Some(b) = r.backend {
-                    fields.push(("backend", Json::str(b.name())));
-                }
                 if let Some(t) = &r.temporal {
                     fields.push(("temporal", t.to_json()));
                 }
@@ -1025,7 +1000,10 @@ fn temporal_section(
         kernel: tk,
         steps: req.steps,
         jobs: req.jobs,
-        working_elements: plan.working_elements(tk, plane_elements),
+        working_elements: addressable(
+            plan.working_elements(tk, plane_elements),
+            &format!("the temporal working set of {plane_elements}-element planes"),
+        )?,
         plan,
         certified,
     })
@@ -1050,6 +1028,15 @@ fn check_cache(req: &PlanRequest, shape: &StencilShape) -> Result<(), String> {
 fn plane_elements(di: usize, dj: usize) -> Result<usize, String> {
     di.checked_mul(dj)
         .ok_or_else(|| format!("a {di}x{dj} plane overflows the element count"))
+}
+
+/// An element count of doubles whose byte size fits `usize`, or a typed
+/// error naming `what` when the count (`None`) or its bytes overflow: no
+/// array that large is addressable.
+fn addressable(elements: Option<usize>, what: &str) -> Result<usize, String> {
+    elements
+        .filter(|e| e.checked_mul(8).is_some())
+        .ok_or_else(|| format!("{what} overflows the address space"))
 }
 
 /// Answers a [`PlanRequest`]. The request is canonicalized first, so any
@@ -1086,7 +1073,6 @@ pub fn respond(req: &PlanRequest) -> Result<PlanResponse, String> {
                 cache: req.cache,
                 rows,
                 temporal,
-                backend: None,
             }))
         }
         PlanQuery::Advise => {
@@ -1109,7 +1095,10 @@ pub fn respond(req: &PlanRequest) -> Result<PlanResponse, String> {
                 (
                     reuse::max_plane_extent(req.cache.elements, &shape),
                     reuse::advise_3d(req.cache.elements, &shape, n),
-                    Some(reuse::k_reuse_distance(&shape, n, n)),
+                    Some(addressable(
+                        reuse::k_reuse_distance(&shape, n, n),
+                        &format!("the K-loop reuse distance at N = {n}"),
+                    )?),
                 )
             };
             Ok(PlanResponse::Advice(AdviceResponse {
@@ -1415,6 +1404,16 @@ mod tests {
             (
                 r#"{"query":"plan","di":4294967296,"dj":4294967296,"steps":2,"transform":"orig"}"#,
                 "overflows",
+            ),
+            // Sizes whose reuse distance or temporal working set used to
+            // wrap: a 0-element distance, an 8456804471554048 KB tile.
+            (
+                r#"{"query":"advise","n":4294967296}"#,
+                "reuse distance at N = 4294967296 overflows the address space",
+            ),
+            (
+                r#"{"query":"plan","di":1000000000,"dj":1000000000,"steps":2}"#,
+                "temporal working set of 1000000000000000000-element planes overflows",
             ),
         ] {
             let v = json::parse(req).unwrap();

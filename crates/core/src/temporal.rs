@@ -79,9 +79,13 @@ pub struct TemporalPlan {
 }
 
 impl TemporalPlan {
-    /// Working-set of the tile in elements, all buffers included.
-    pub fn working_elements(&self, kernel: TemporalKernel, plane_elements: usize) -> usize {
-        kernel.buffers() * self.working_planes * plane_elements
+    /// Working-set of the tile in elements, all buffers included; `None`
+    /// when the count overflows `usize`.
+    pub fn working_elements(&self, kernel: TemporalKernel, plane_elements: usize) -> Option<usize> {
+        kernel
+            .buffers()
+            .checked_mul(self.working_planes)?
+            .checked_mul(plane_elements)
     }
 }
 
@@ -101,7 +105,8 @@ pub fn plan_temporal(
 ) -> TemporalPlan {
     let steps = steps.max(1);
     let jobs = jobs.max(1);
-    let per_plane = kernel.buffers() * plane_elements.max(1);
+    // Saturates: a plane set too large to count does not fit any cache.
+    let per_plane = kernel.buffers().saturating_mul(plane_elements.max(1));
     let sk = (cache.elements / per_plane)
         .saturating_sub(HALO_PLANES)
         .max(1);
@@ -221,7 +226,20 @@ mod tests {
         let p = plan_temporal(TemporalKernel::Jacobi, spec(), 64, 32, 1);
         assert_eq!(p.sk, 13);
         assert_eq!(p.st, 13); // capped by sk, not steps
-        assert!(p.working_elements(TemporalKernel::Jacobi, 64) <= spec().elements + 2 * 64);
+        let ws = p.working_elements(TemporalKernel::Jacobi, 64).unwrap();
+        assert!(ws <= spec().elements + 2 * 64);
+    }
+
+    #[test]
+    fn oversized_planes_get_a_unit_band_and_no_wrapped_working_set() {
+        // Two buffers of a `usize::MAX / 2 + 1`-element plane used to wrap
+        // to a tiny per-plane footprint and an enormous band.
+        let p = plan_temporal(TemporalKernel::Jacobi, spec(), usize::MAX / 2 + 1, 4, 1);
+        assert_eq!((p.st, p.sk), (1, 1));
+        assert_eq!(
+            p.working_elements(TemporalKernel::Jacobi, usize::MAX / 2 + 1),
+            None
+        );
     }
 
     #[test]

@@ -20,15 +20,17 @@ use crate::shape::StencilShape;
 ///
 /// For 3D Jacobi on an `N x N x M` array this is `2 * N^2`, the paper's
 /// "distance of 2N^2 between the leading A(I,J,K+1) and trailing
-/// A(I,J,K-1)".
-pub fn k_reuse_distance(shape: &StencilShape, di: usize, dj: usize) -> usize {
-    (shape.atd() - 1) * di * dj
+/// A(I,J,K-1)". `None` when the distance overflows `usize`: no array with
+/// such planes is addressable.
+pub fn k_reuse_distance(shape: &StencilShape, di: usize, dj: usize) -> Option<usize> {
+    (shape.atd() - 1).checked_mul(di)?.checked_mul(dj)
 }
 
 /// Reuse distance (in elements) across the `J` loop for a 2D stencil with
-/// allocated column length `di`. For 2D Jacobi this is `2N`.
-pub fn j_reuse_distance(shape: &StencilShape, di: usize) -> usize {
-    shape.n() * di
+/// allocated column length `di`. For 2D Jacobi this is `2N`. `None` when
+/// the distance overflows `usize`.
+pub fn j_reuse_distance(shape: &StencilShape, di: usize) -> Option<usize> {
+    shape.n().checked_mul(di)
 }
 
 /// Largest square plane extent `N` such that a cache of `cache_elements`
@@ -92,15 +94,19 @@ mod tests {
     #[test]
     fn jacobi3d_reuse_distance_is_2n2() {
         let s = StencilShape::jacobi3d();
-        assert_eq!(k_reuse_distance(&s, 200, 200), 2 * 200 * 200);
+        assert_eq!(k_reuse_distance(&s, 200, 200), Some(2 * 200 * 200));
         // Padding the plane increases the distance — padding is never free.
-        assert_eq!(k_reuse_distance(&s, 224, 208), 2 * 224 * 208);
+        assert_eq!(k_reuse_distance(&s, 224, 208), Some(2 * 224 * 208));
+        // A plane of 2^64 elements used to wrap to a distance of 0.
+        assert_eq!(k_reuse_distance(&s, 1 << 32, 1 << 32), None);
+        assert_eq!(k_reuse_distance(&s, usize::MAX / 2 + 1, 1), None);
     }
 
     #[test]
     fn jacobi2d_reuse_distance_is_2n() {
         let s = StencilShape::jacobi2d();
-        assert_eq!(j_reuse_distance(&s, 1000), 2000);
+        assert_eq!(j_reuse_distance(&s, 1000), Some(2000));
+        assert_eq!(j_reuse_distance(&s, usize::MAX), None);
     }
 
     #[test]

@@ -6,27 +6,24 @@
 //! [`Backend`] — a compile-time strategy type with one associated
 //! function per row kernel. Two backends exist:
 //!
-//! * [`RowEngine`] — the original row-segment path
-//!   ([`rowexec`](crate::rowexec)): pre-sliced operand rows the compiler
-//!   autovectorizes. Unchanged semantics and codegen.
+//! * [`RowEngine`] — the production path ([`rowexec`]): pre-sliced
+//!   operand rows the compiler autovectorizes. Every row-engine entry
+//!   (`sweep`, `jacobi3d_sweep`, `jacobi_time_tiled`, ...) runs on it.
 //! * [`LaneStrategy`]`<LANES, UNROLL>` — the explicit-lane path
-//!   ([`laneexec`](crate::laneexec)): each unit-stride segment processed
-//!   as safe chunked `[f64; LANES]` blocks with a compile-time lane
-//!   width and unroll factor. [`LaneEngine`] is the tuned default
-//!   instantiation.
+//!   ([`laneexec`]): each unit-stride segment processed as safe chunked
+//!   `[f64; LANES]` blocks with a compile-time lane width and unroll
+//!   factor. [`LaneEngine`] is the tuned default instantiation.
 //!
 //! Both are **bitwise identical** to [`reference`](crate::reference) for
 //! every kernel, schedule, size, padding and thread count — the lane
 //! kernels vectorize across `i` and keep the reference accumulation
-//! order within each point, so backend choice is purely a speed knob
-//! (`tests/backend_golden.rs` is the gate). Callers pick a backend
-//! statically (`sweep_with::<B>`) or at runtime through
-//! [`ExecBackend`] (re-exported from `tiling3d_core::api`), where
-//! [`ExecBackend::Auto`] resolves per row kernel from a one-shot
-//! measured probe ([`resolve`]).
-
-use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+//! order within each point (`tests/backend_golden.rs` is the gate). The
+//! lane kernels share no code with [`rowexec`], so the lane engine serves
+//! as an independent test oracle for the row engine. Each compute family
+//! has two entries with the same arguments: the row-engine `X(..)` and
+//! the generic `X_with::<B>(..)`. The only runtime choice of engine is
+//! [`ExecBackend`] (re-exported from `tiling3d_core::api`), taken by
+//! `Kernel::run_with` and `Kernel::run_parallel_with`.
 
 pub use tiling3d_core::api::ExecBackend;
 
@@ -43,7 +40,7 @@ use crate::rowexec::{self, Rows9};
 /// operand and accumulation order within each point.
 #[allow(clippy::too_many_arguments)]
 pub trait Backend {
-    /// Backend name as reported in spans, payloads and bench rows.
+    /// Backend name as reported in spans and bench rows.
     const NAME: &'static str;
 
     /// See [`rowexec::jacobi3d_row`].
@@ -92,7 +89,7 @@ pub trait Backend {
 }
 
 /// The autovectorized row-segment engine — delegates to
-/// [`rowexec`](crate::rowexec) unchanged.
+/// [`rowexec`] unchanged.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RowEngine;
 
@@ -156,7 +153,7 @@ impl Backend for RowEngine {
 
 /// The explicit-lane engine with compile-time lane width and unroll
 /// factor (microhh `TilingStrategy`-style) — delegates to
-/// [`laneexec`](crate::laneexec). Both parameters must be nonzero.
+/// [`laneexec`]. Both parameters must be nonzero.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LaneStrategy<const LANES: usize, const UNROLL: usize>;
 
@@ -219,9 +216,8 @@ impl<const LANES: usize, const UNROLL: usize> Backend for LaneStrategy<LANES, UN
 }
 
 /// The tuned lane engine: per row-kernel family, the
-/// [`LaneStrategy`] instantiation that measured fastest (the issue's
-/// "selected per kernel" knob — one lane width does not fit all five
-/// stencils, e.g. the stride-2 red-black gather prefers narrow
+/// [`LaneStrategy`] instantiation that measured fastest (one lane
+/// width does not fit all five stencils, e.g. the stride-2 red-black gather prefers narrow
 /// unrolled-once lanes while RESID's 27-point body wants unroll depth
 /// to hide its three serial shell-sum chains).
 ///
@@ -288,188 +284,15 @@ impl Backend for LaneEngine {
     }
 }
 
-/// The row-kernel families a backend choice is resolved per — Auto may
-/// pick differently for, say, stride-2 red-black rows than for the
-/// contiguous Jacobi rows.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum RowKernel {
-    /// 6-point 3D Jacobi rows.
-    Jacobi3d,
-    /// 4-point 2D Jacobi rows.
-    Jacobi2d,
-    /// 27-point RESID rows.
-    Resid,
-    /// Stride-2 3D red-black rows.
-    RedBlack,
-    /// Stride-2 2D red-black rows.
-    RedBlack2d,
-}
-
-/// A concrete engine choice after [`ExecBackend::Auto`] resolution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Resolved {
-    /// Run on [`RowEngine`].
-    Row,
-    /// Run on [`LaneEngine`].
-    Lane,
-}
-
-impl Resolved {
-    /// The winning backend's name (`"row"` / `"lane"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Resolved::Row => RowEngine::NAME,
-            Resolved::Lane => "lane",
-        }
-    }
-}
-
-/// Resolves a requested backend to a concrete engine for one row-kernel
-/// family. `Row` and `Lane` pass through; `Auto` answers from a
-/// process-wide measured probe (run once, cached): each engine times a
-/// synthetic hot row of the family and the faster one wins. Correctness
-/// is unaffected either way — the backends are bitwise identical.
-pub fn resolve(sel: ExecBackend, kernel: RowKernel) -> Resolved {
-    match sel {
-        ExecBackend::Row => Resolved::Row,
-        ExecBackend::Lane => Resolved::Lane,
-        ExecBackend::Auto => auto_choice(kernel),
-    }
-}
-
-fn auto_choice(kernel: RowKernel) -> Resolved {
-    static CHOICES: OnceLock<[Resolved; 5]> = OnceLock::new();
-    let c = CHOICES.get_or_init(probe_all);
-    c[match kernel {
-        RowKernel::Jacobi3d => 0,
-        RowKernel::Jacobi2d => 1,
-        RowKernel::Resid => 2,
-        RowKernel::RedBlack => 3,
-        RowKernel::RedBlack2d => 4,
-    }]
-}
-
-/// Probe geometry: a short *real* sweep per row-kernel family, at a size
-/// whose working set overflows L2 so the probe sees the production mix of
-/// compute and memory traffic. (An L1-hot row probe systematically
-/// overstates the lane engine, which wins on in-cache compute but not on
-/// bandwidth — and would make Auto pick a backend that loses at sweep
-/// scale.) 3D families: 128 x 128 x 24 = 3.1 MiB per array; 2D families:
-/// 1024^2 = 8 MiB per array.
-const PROBE_N3: usize = 128;
-const PROBE_NK: usize = 24;
-const PROBE_N2: usize = 1024;
-
-/// Times both engines for one family with *interleaved* windows (row,
-/// lane, row, lane, ...), so load drift on a seconds timescale hits both
-/// arms alike; best-of per arm, faster engine wins. `run` executes one
-/// sweep on the given engine.
-fn probe_family(run: &mut impl FnMut(Resolved)) -> Resolved {
-    // Warm both arms: page in, settle the branch predictors.
-    run(Resolved::Row);
-    run(Resolved::Lane);
-    let mut best = [Duration::MAX; 2];
-    for _ in 0..6 {
-        for (slot, r) in [(0usize, Resolved::Row), (1, Resolved::Lane)] {
-            let t0 = Instant::now();
-            run(r);
-            run(r);
-            best[slot] = best[slot].min(t0.elapsed());
-        }
-    }
-    if best[1] < best[0] {
-        Resolved::Lane
-    } else {
-        Resolved::Row
-    }
-}
-
-fn probe_all() -> [Resolved; 5] {
-    use tiling3d_grid::{Array2, Array3};
-
-    use crate::redblack::Schedule;
-    use crate::redblack2d::Schedule2D;
-    use crate::{jacobi2d, jacobi3d, redblack, redblack2d, resid};
-
-    let seed = |slice: &mut [f64]| {
-        for (i, v) in slice.iter_mut().enumerate() {
-            *v = (i % 613) as f64 / 613.0 - 0.4;
-        }
-    };
-    let arr3 = || {
-        let mut a = Array3::new(PROBE_N3, PROBE_N3, PROBE_NK);
-        seed(a.as_mut_slice());
-        a
-    };
-    let arr2 = || {
-        let mut a = Array2::new(PROBE_N2, PROBE_N2);
-        seed(a.as_mut_slice());
-        a
-    };
-
-    let (mut a, b) = (arr3(), arr3());
-    let jacobi3d = probe_family(&mut |r| match r {
-        Resolved::Row => jacobi3d::sweep_with::<RowEngine>(&mut a, &b, 1.0 / 6.0),
-        Resolved::Lane => jacobi3d::sweep_with::<LaneEngine>(&mut a, &b, 1.0 / 6.0),
-    });
-
-    let (mut a, b) = (arr2(), arr2());
-    let jacobi2d = probe_family(&mut |r| match r {
-        Resolved::Row => jacobi2d::sweep_with::<RowEngine>(&mut a, &b, 1.0 / 6.0),
-        Resolved::Lane => jacobi2d::sweep_with::<LaneEngine>(&mut a, &b, 1.0 / 6.0),
-    });
-
-    let (mut r3, u, v) = (arr3(), arr3(), arr3());
-    let resid = probe_family(&mut |r| match r {
-        Resolved::Row => resid::sweep_with::<RowEngine>(&mut r3, &u, &v, &Coeffs::MGRID_A, None),
-        Resolved::Lane => resid::sweep_with::<LaneEngine>(&mut r3, &u, &v, &Coeffs::MGRID_A, None),
-    });
-
-    let mut a = arr3();
-    let redblack = probe_family(&mut |r| match r {
-        Resolved::Row => redblack::sweep_with::<RowEngine>(&mut a, 0.4, 0.1, Schedule::Fused),
-        Resolved::Lane => redblack::sweep_with::<LaneEngine>(&mut a, 0.4, 0.1, Schedule::Fused),
-    });
-
-    let mut a = arr2();
-    let redblack2d = probe_family(&mut |r| match r {
-        Resolved::Row => redblack2d::sweep_with::<RowEngine>(&mut a, 0.4, 0.1, Schedule2D::Fused),
-        Resolved::Lane => {
-            redblack2d::sweep_with::<LaneEngine>(&mut a, 0.4, 0.1, Schedule2D::Fused);
-        }
-    });
-
-    [jacobi3d, jacobi2d, resid, redblack, redblack2d]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn row_and_lane_pass_through_auto_resolves() {
-        for k in [
-            RowKernel::Jacobi3d,
-            RowKernel::Jacobi2d,
-            RowKernel::Resid,
-            RowKernel::RedBlack,
-            RowKernel::RedBlack2d,
-        ] {
-            assert_eq!(resolve(ExecBackend::Row, k), Resolved::Row);
-            assert_eq!(resolve(ExecBackend::Lane, k), Resolved::Lane);
-            let auto = resolve(ExecBackend::Auto, k);
-            // Deterministic per process: the probe is cached.
-            assert_eq!(resolve(ExecBackend::Auto, k), auto);
-        }
-    }
-
-    #[test]
     fn names_round_trip() {
         assert_eq!(RowEngine::NAME, "row");
         assert_eq!(LaneEngine::NAME, "lane");
-        assert_eq!(Resolved::Row.name(), "row");
-        assert_eq!(Resolved::Lane.name(), "lane");
-        assert_eq!("auto".parse::<ExecBackend>().unwrap(), ExecBackend::Auto);
-        assert!("fft".parse::<ExecBackend>().is_err());
+        assert_eq!(ExecBackend::Row.name(), RowEngine::NAME);
+        assert_eq!(ExecBackend::Lane.name(), LaneEngine::NAME);
     }
 }

@@ -8,7 +8,7 @@
 use tiling3d_cachesim::AccessSink;
 use tiling3d_grid::Array2;
 
-use crate::backend::{self, Backend, ExecBackend, LaneEngine, Resolved, RowEngine, RowKernel};
+use crate::backend::{Backend, RowEngine};
 use crate::rowexec;
 
 /// FLOPs per interior point (3 adds + 1 multiply).
@@ -24,14 +24,6 @@ pub const FLOPS_PER_POINT: u64 = 4;
 /// Panics if extents mismatch.
 pub fn sweep(a: &mut Array2<f64>, b: &Array2<f64>, c: f64) {
     sweep_with::<RowEngine>(a, b, c);
-}
-
-/// [`sweep`] with the execution backend chosen at runtime.
-pub fn sweep_backend(a: &mut Array2<f64>, b: &Array2<f64>, c: f64, sel: ExecBackend) {
-    match backend::resolve(sel, RowKernel::Jacobi2d) {
-        Resolved::Row => sweep_with::<RowEngine>(a, b, c),
-        Resolved::Lane => sweep_with::<LaneEngine>(a, b, c),
-    }
 }
 
 /// [`sweep`] generic over the row-segment execution [`Backend`].

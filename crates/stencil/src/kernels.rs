@@ -14,7 +14,7 @@ use tiling3d_core::{
 use tiling3d_grid::{fill_random, Array3};
 use tiling3d_loopnest::{StencilShape, TileDims};
 
-use crate::backend::ExecBackend;
+use crate::backend::{Backend, ExecBackend, LaneEngine, RowEngine};
 use crate::{jacobi3d, parallel, redblack, resid};
 
 /// How the kernel's arrays are placed in the simulated address space.
@@ -179,41 +179,50 @@ impl Kernel {
     }
 
     /// Runs one sweep under the plan's tile (or the original schedule when
-    /// the plan is untiled).
+    /// the plan is untiled) on the row engine.
     ///
     /// # Panics
     /// Panics if `state` was built for a different kernel.
     pub fn run(self, state: &mut KernelState, tile: Option<(usize, usize)>) {
-        self.run_with(state, tile, ExecBackend::Row);
+        self.run_on::<RowEngine>(state, tile);
     }
 
-    /// [`Kernel::run`] on the chosen execution backend (see
-    /// [`crate::backend`]); results are bitwise identical for every
-    /// backend.
+    /// [`Kernel::run`] on the chosen execution engine (see
+    /// [`crate::backend`]); results are bitwise identical for both. The
+    /// explicit-lane engine's row kernels share no code with the row
+    /// engine's, which makes `ExecBackend::Lane` an independent oracle.
     ///
     /// # Panics
     /// Panics if `state` was built for a different kernel.
     pub fn run_with(self, state: &mut KernelState, tile: Option<(usize, usize)>, sel: ExecBackend) {
+        match sel {
+            ExecBackend::Row => self.run_on::<RowEngine>(state, tile),
+            ExecBackend::Lane => self.run_on::<LaneEngine>(state, tile),
+        }
+    }
+
+    fn run_on<B: Backend>(self, state: &mut KernelState, tile: Option<(usize, usize)>) {
         let t = tile.map(|(ti, tj)| TileDims::new(ti, tj));
         match (self, state) {
             (Kernel::Jacobi, KernelState::Jacobi { a, b }) => {
-                jacobi3d::sweep_backend(a, b, 1.0 / 6.0, t, sel);
+                jacobi3d::sweep_with::<B>(a, b, 1.0 / 6.0, t);
             }
             (Kernel::RedBlack, KernelState::RedBlack { a }) => {
                 let sched = match t {
                     None => redblack::Schedule::Naive,
                     Some(t) => redblack::Schedule::Tiled(t),
                 };
-                redblack::sweep_backend(a, 0.4, 0.1, sched, sel);
+                redblack::sweep_with::<B>(a, 0.4, 0.1, sched);
             }
             (Kernel::Resid, KernelState::Resid { r, u, v }) => {
-                resid::sweep_backend(r, u, v, &resid::Coeffs::MGRID_A, t, sel);
+                resid::sweep_with::<B>(r, u, v, &resid::Coeffs::MGRID_A, t);
             }
             _ => panic!("kernel/state mismatch"),
         }
     }
 
-    /// Runs one sweep across `threads` K-slabs (see [`crate::parallel`]).
+    /// Runs one sweep across `threads` K-slabs (see [`crate::parallel`])
+    /// on the row engine.
     ///
     /// Bitwise identical to [`Kernel::run`] with the same tile for every
     /// thread count; red-black runs its two colour phases under a global
@@ -228,12 +237,12 @@ impl Kernel {
         tile: Option<(usize, usize)>,
         threads: usize,
     ) {
-        self.run_parallel_with(state, tile, threads, ExecBackend::Row);
+        self.run_parallel_on::<RowEngine>(state, tile, threads);
     }
 
-    /// [`Kernel::run_parallel`] on the chosen execution backend; every
-    /// slab runs its row segments through the same backend, so results
-    /// stay bitwise identical for every thread count and backend.
+    /// [`Kernel::run_parallel`] on the chosen execution engine; every
+    /// slab runs its row segments through the same engine, so results
+    /// stay bitwise identical for every thread count and engine.
     ///
     /// # Panics
     /// Panics if `state` was built for a different kernel or
@@ -245,16 +254,28 @@ impl Kernel {
         threads: usize,
         sel: ExecBackend,
     ) {
+        match sel {
+            ExecBackend::Row => self.run_parallel_on::<RowEngine>(state, tile, threads),
+            ExecBackend::Lane => self.run_parallel_on::<LaneEngine>(state, tile, threads),
+        }
+    }
+
+    fn run_parallel_on<B: Backend>(
+        self,
+        state: &mut KernelState,
+        tile: Option<(usize, usize)>,
+        threads: usize,
+    ) {
         let t = tile.map(|(ti, tj)| TileDims::new(ti, tj));
         match (self, state) {
             (Kernel::Jacobi, KernelState::Jacobi { a, b }) => {
-                parallel::jacobi3d_sweep_backend(a, b, 1.0 / 6.0, t, threads, sel);
+                parallel::jacobi3d_sweep_with::<B>(a, b, 1.0 / 6.0, t, threads);
             }
             (Kernel::RedBlack, KernelState::RedBlack { a }) => {
-                parallel::redblack_sweep_backend(a, 0.4, 0.1, t, threads, sel);
+                parallel::redblack_sweep_with::<B>(a, 0.4, 0.1, t, threads);
             }
             (Kernel::Resid, KernelState::Resid { r, u, v }) => {
-                parallel::resid_sweep_backend(r, u, v, &resid::Coeffs::MGRID_A, t, threads, sel);
+                parallel::resid_sweep_with::<B>(r, u, v, &resid::Coeffs::MGRID_A, t, threads);
             }
             _ => panic!("kernel/state mismatch"),
         }

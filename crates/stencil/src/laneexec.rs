@@ -222,8 +222,9 @@ pub fn jacobi2d_row<const LANES: usize, const UNROLL: usize>(
 /// Lane form of [`rowexec::resid_row`](crate::rowexec::resid_row).
 ///
 /// The three shell sums are per-lane accumulator arrays fed one term at
-/// a time via [`addl`], which preserves the reference accumulation order
-/// within each point while running `LANES` points in parallel.
+/// a time (the private `addl` helper), which preserves the reference
+/// accumulation order within each point while running `LANES` points in
+/// parallel.
 #[inline(never)]
 pub fn resid_row<const LANES: usize, const UNROLL: usize>(
     dst: &mut [f64],
@@ -342,9 +343,9 @@ fn resid_lane_group<const LANES: usize>(
 }
 
 /// Lane form of [`rowexec::redblack_row`](crate::rowexec::redblack_row):
-/// stride-2 parity rows are gathered into lane arrays ([`gather2`]),
-/// combined, and written to the contiguous scratch — the caller's
-/// scatter is unchanged.
+/// stride-2 parity rows are gathered into lane arrays (the private
+/// `gather2` helper), combined, and written to the contiguous scratch —
+/// the caller's scatter is unchanged.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 pub fn redblack_row<const LANES: usize, const UNROLL: usize>(

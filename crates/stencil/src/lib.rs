@@ -25,16 +25,20 @@
 //! K-slab parallel sweeps showing that the paper's intra-nest tiling
 //! composes with thread parallelism.
 //!
-//! Every production sweep runs on a **row-segment execution backend**
-//! (the [`backend::Backend`] trait): the loop nest is decomposed into
-//! contiguous unit-stride (or stride-2, for red-black colours) row
-//! segments, and the backend decides how each segment's arithmetic is
-//! scheduled. [`backend::RowEngine`] executes segments via [`rowexec`] —
+//! Every sweep is decomposed into contiguous unit-stride (or stride-2, for
+//! red-black colours) row segments, and a [`backend::Backend`] decides how
+//! each segment's arithmetic is scheduled. Every production sweep runs on
+//! [`backend::RowEngine`], which executes segments via [`rowexec`] —
 //! pre-sliced operand rows so the compiler can eliminate bounds checks and
-//! autovectorize the `I` loop — while [`backend::LaneEngine`] processes
-//! them as explicit `[f64; LANES]` blocks ([`laneexec`]). Both are held
-//! bitwise-equal to the original per-point formulations, which survive in
-//! [`mod@reference`] as the executable specification.
+//! autovectorize the `I` loop. [`backend::LaneEngine`] processes them as
+//! explicit `[f64; LANES]` blocks ([`laneexec`]) and shares no row code
+//! with the row engine, so it serves as an independent test oracle. Both
+//! are held bitwise-equal to the original per-point formulations, which
+//! survive in [`mod@reference`] as the executable specification. Each
+//! compute family has two entries with the same arguments: the row-engine
+//! `X(..)` and the generic `X_with::<B: Backend>(..)`; the engine is never
+//! a runtime option except in [`kernels::Kernel::run_with`] and
+//! [`kernels::Kernel::run_parallel_with`].
 //!
 //! Schedule legality is enforced in two layers: statically, each kernel's
 //! transforms are planned through `tiling3d_core::plan_certified` and run

@@ -31,7 +31,7 @@ use tiling3d_loopnest::{
     for_each_rows, for_each_tiled_rows, stride2_clip, stride2_last, IterSpace, TileDims,
 };
 
-use crate::backend::{self, Backend, ExecBackend, LaneEngine, Resolved, RowEngine, RowKernel};
+use crate::backend::{Backend, RowEngine};
 use crate::{jacobi3d, redblack, resid, rowexec};
 
 /// Partitions the interior `K` range `1..=nk-2` into at most `threads`
@@ -86,8 +86,8 @@ fn split_slabs<'a>(
 
 /// Parallel (optionally tiled) 3D Jacobi sweep across `threads` K-slabs.
 ///
-/// Bitwise identical to `jacobi3d::sweep` / `jacobi3d::sweep_tiled` for
-/// every thread count. Degenerate grids (any extent `< 3`) are a no-op.
+/// Bitwise identical to `jacobi3d::sweep` with the same tile for every
+/// thread count. Degenerate grids (any extent `< 3`) are a no-op.
 ///
 /// # Panics
 /// Panics if extents mismatch or `threads == 0`.
@@ -99,21 +99,6 @@ pub fn jacobi3d_sweep(
     threads: usize,
 ) {
     jacobi3d_sweep_with::<RowEngine>(a, b, c, tile, threads);
-}
-
-/// [`jacobi3d_sweep`] with the execution backend chosen at runtime.
-pub fn jacobi3d_sweep_backend(
-    a: &mut Array3<f64>,
-    b: &Array3<f64>,
-    c: f64,
-    tile: Option<TileDims>,
-    threads: usize,
-    sel: ExecBackend,
-) {
-    match backend::resolve(sel, RowKernel::Jacobi3d) {
-        Resolved::Row => jacobi3d_sweep_with::<RowEngine>(a, b, c, tile, threads),
-        Resolved::Lane => jacobi3d_sweep_with::<LaneEngine>(a, b, c, tile, threads),
-    }
 }
 
 /// [`jacobi3d_sweep`] generic over the row-segment execution [`Backend`].
@@ -188,22 +173,6 @@ pub fn resid_sweep(
     threads: usize,
 ) {
     resid_sweep_with::<RowEngine>(r, u, v, coeffs, tile, threads);
-}
-
-/// [`resid_sweep`] with the execution backend chosen at runtime.
-pub fn resid_sweep_backend(
-    r: &mut Array3<f64>,
-    u: &Array3<f64>,
-    v: &Array3<f64>,
-    coeffs: &resid::Coeffs,
-    tile: Option<TileDims>,
-    threads: usize,
-    sel: ExecBackend,
-) {
-    match backend::resolve(sel, RowKernel::Resid) {
-        Resolved::Row => resid_sweep_with::<RowEngine>(r, u, v, coeffs, tile, threads),
-        Resolved::Lane => resid_sweep_with::<LaneEngine>(r, u, v, coeffs, tile, threads),
-    }
 }
 
 /// [`resid_sweep`] generic over the row-segment execution [`Backend`].
@@ -303,21 +272,6 @@ pub fn redblack_sweep(
     threads: usize,
 ) {
     redblack_sweep_with::<RowEngine>(a, c1, c2, tile, threads);
-}
-
-/// [`redblack_sweep`] with the execution backend chosen at runtime.
-pub fn redblack_sweep_backend(
-    a: &mut Array3<f64>,
-    c1: f64,
-    c2: f64,
-    tile: Option<TileDims>,
-    threads: usize,
-    sel: ExecBackend,
-) {
-    match backend::resolve(sel, RowKernel::RedBlack) {
-        Resolved::Row => redblack_sweep_with::<RowEngine>(a, c1, c2, tile, threads),
-        Resolved::Lane => redblack_sweep_with::<LaneEngine>(a, c1, c2, tile, threads),
-    }
 }
 
 /// [`redblack_sweep`] generic over the row-segment execution [`Backend`].
@@ -610,7 +564,7 @@ mod tests {
         let mut b = Array3::with_padding(n, n, n, 29, 27);
         fill_random(&mut b, 77);
         let mut seq = Array3::with_padding(n, n, n, 29, 27);
-        crate::jacobi3d::sweep(&mut seq, &b, 1.0 / 6.0);
+        crate::jacobi3d::sweep(&mut seq, &b, 1.0 / 6.0, None);
         for threads in [1usize, 2, 3, 7] {
             let mut par = Array3::with_padding(n, n, n, 29, 27);
             jacobi3d_sweep(&mut par, &b, 1.0 / 6.0, None, threads);
@@ -624,7 +578,7 @@ mod tests {
         let mut b = Array3::new(n, n, n);
         fill_random(&mut b, 5);
         let mut seq = Array3::new(n, n, n);
-        crate::jacobi3d::sweep(&mut seq, &b, 0.5);
+        crate::jacobi3d::sweep(&mut seq, &b, 0.5, None);
         let mut par = Array3::new(n, n, n);
         jacobi3d_sweep(&mut par, &b, 0.5, Some(TileDims::new(5, 4)), 4);
         assert!(seq.logical_eq(&par));
@@ -690,7 +644,7 @@ mod tests {
         let mut b = Array3::new(n, n, n);
         fill_random(&mut b, 2);
         let mut seq = Array3::new(n, n, n);
-        crate::jacobi3d::sweep(&mut seq, &b, 1.0);
+        crate::jacobi3d::sweep(&mut seq, &b, 1.0, None);
         let mut par = Array3::new(n, n, n);
         jacobi3d_sweep(&mut par, &b, 1.0, None, 64);
         assert!(seq.logical_eq(&par));

@@ -19,7 +19,7 @@ use tiling3d_cachesim::{AccessSink, RowPlan, Slot};
 use tiling3d_grid::Array3;
 use tiling3d_loopnest::{stride2_last, TileDims};
 
-use crate::backend::{self, Backend, ExecBackend, LaneEngine, Resolved, RowEngine, RowKernel};
+use crate::backend::{Backend, RowEngine};
 use crate::rowexec;
 
 /// FLOPs per updated point (2 multiplies + 6 adds).
@@ -166,15 +166,6 @@ pub fn visit(n: usize, nk: usize, schedule: Schedule, mut f: impl FnMut(usize, u
 /// differ — the paper's evaluation uses `N x N x 30` grids).
 pub fn sweep(a: &mut Array3<f64>, c1: f64, c2: f64, schedule: Schedule) {
     sweep_with::<RowEngine>(a, c1, c2, schedule);
-}
-
-/// [`sweep`] with the execution backend chosen at runtime (`Auto` probes
-/// once per process; see [`crate::backend::resolve`]).
-pub fn sweep_backend(a: &mut Array3<f64>, c1: f64, c2: f64, schedule: Schedule, sel: ExecBackend) {
-    match backend::resolve(sel, RowKernel::RedBlack) {
-        Resolved::Row => sweep_with::<RowEngine>(a, c1, c2, schedule),
-        Resolved::Lane => sweep_with::<LaneEngine>(a, c1, c2, schedule),
-    }
 }
 
 /// [`sweep`] generic over the row-segment execution [`Backend`].

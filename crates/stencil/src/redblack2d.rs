@@ -15,7 +15,7 @@ use tiling3d_cachesim::AccessSink;
 use tiling3d_grid::Array2;
 use tiling3d_loopnest::stride2_last;
 
-use crate::backend::{self, Backend, ExecBackend, LaneEngine, Resolved, RowEngine, RowKernel};
+use crate::backend::{Backend, RowEngine};
 use crate::rowexec;
 
 /// FLOPs per updated point (2 multiplies + 4 adds).
@@ -87,20 +87,6 @@ pub fn visit(n: usize, schedule: Schedule2D, mut f: impl FnMut(usize, usize)) {
 /// Panics unless the logical extents are square.
 pub fn sweep(a: &mut Array2<f64>, c1: f64, c2: f64, schedule: Schedule2D) {
     sweep_with::<RowEngine>(a, c1, c2, schedule);
-}
-
-/// [`sweep`] with the execution backend chosen at runtime.
-pub fn sweep_backend(
-    a: &mut Array2<f64>,
-    c1: f64,
-    c2: f64,
-    schedule: Schedule2D,
-    sel: ExecBackend,
-) {
-    match backend::resolve(sel, RowKernel::RedBlack2d) {
-        Resolved::Row => sweep_with::<RowEngine>(a, c1, c2, schedule),
-        Resolved::Lane => sweep_with::<LaneEngine>(a, c1, c2, schedule),
-    }
 }
 
 /// [`sweep`] generic over the row-segment execution [`Backend`].

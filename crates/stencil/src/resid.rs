@@ -17,7 +17,7 @@ use tiling3d_cachesim::{AccessSink, RowPlan, Slot};
 use tiling3d_grid::Array3;
 use tiling3d_loopnest::{for_each_rows, for_each_tiled_rows, IterSpace, TileDims};
 
-use crate::backend::{self, Backend, ExecBackend, LaneEngine, Resolved, RowEngine, RowKernel};
+use crate::backend::{Backend, RowEngine};
 use crate::rowexec;
 
 /// FLOPs per interior point: 26 adds within/between neighbour groups plus
@@ -114,22 +114,6 @@ pub fn sweep(
     tile: Option<TileDims>,
 ) {
     sweep_with::<RowEngine>(r, u, v, coeffs, tile);
-}
-
-/// One sweep on the backend `sel` resolves to — the runtime-dispatch
-/// form of [`sweep_with`].
-pub fn sweep_backend(
-    r: &mut Array3<f64>,
-    u: &Array3<f64>,
-    v: &Array3<f64>,
-    coeffs: &Coeffs,
-    tile: Option<TileDims>,
-    sel: ExecBackend,
-) {
-    match backend::resolve(sel, RowKernel::Resid) {
-        Resolved::Row => sweep_with::<RowEngine>(r, u, v, coeffs, tile),
-        Resolved::Lane => sweep_with::<LaneEngine>(r, u, v, coeffs, tile),
-    }
 }
 
 /// [`sweep`] on an explicit execution backend `B`.

@@ -43,7 +43,7 @@
 use tiling3d_cachesim::AccessSink;
 use tiling3d_grid::Array3;
 
-use crate::backend::{self, Backend, ExecBackend, LaneEngine, Resolved, RowEngine, RowKernel};
+use crate::backend::{Backend, RowEngine};
 use crate::redblack;
 use crate::reference;
 use crate::rowexec;
@@ -167,21 +167,6 @@ pub fn jacobi_time_tiled(
     threads: usize,
 ) {
     jacobi_time_tiled_with::<RowEngine>(bufs, c, steps, tile, threads);
-}
-
-/// [`jacobi_time_tiled`] with the execution backend chosen at runtime.
-pub fn jacobi_time_tiled_backend(
-    bufs: &mut [Array3<f64>; 2],
-    c: f64,
-    steps: usize,
-    tile: TimeTile,
-    threads: usize,
-    sel: ExecBackend,
-) {
-    match backend::resolve(sel, RowKernel::Jacobi3d) {
-        Resolved::Row => jacobi_time_tiled_with::<RowEngine>(bufs, c, steps, tile, threads),
-        Resolved::Lane => jacobi_time_tiled_with::<LaneEngine>(bufs, c, steps, tile, threads),
-    }
 }
 
 /// [`jacobi_time_tiled`] generic over the row-segment execution
@@ -413,22 +398,6 @@ pub fn redblack_time_tiled(
     threads: usize,
 ) {
     redblack_time_tiled_with::<RowEngine>(a, c1, c2, steps, tile, threads);
-}
-
-/// [`redblack_time_tiled`] with the execution backend chosen at runtime.
-pub fn redblack_time_tiled_backend(
-    a: &mut Array3<f64>,
-    c1: f64,
-    c2: f64,
-    steps: usize,
-    tile: TimeTile,
-    threads: usize,
-    sel: ExecBackend,
-) {
-    match backend::resolve(sel, RowKernel::RedBlack) {
-        Resolved::Row => redblack_time_tiled_with::<RowEngine>(a, c1, c2, steps, tile, threads),
-        Resolved::Lane => redblack_time_tiled_with::<LaneEngine>(a, c1, c2, steps, tile, threads),
-    }
 }
 
 /// [`redblack_time_tiled`] generic over the row-segment execution

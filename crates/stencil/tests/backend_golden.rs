@@ -2,9 +2,10 @@
 //! identical** to the per-point reference for every kernel, schedule,
 //! transform plan, size, padding and thread count.
 //!
-//! This is the contract that makes `--backend` a pure speed knob: the
-//! lane kernels vectorize across `i` but keep the reference accumulation
-//! order within each point, so no geometry may ever perturb a bit. The
+//! This is the contract that makes the engine a pure speed detail and the
+//! lane engine an independent oracle for the row engine: the lane kernels
+//! vectorize across `i` but keep the reference accumulation order within
+//! each point, so no geometry may ever perturb a bit. The
 //! matrix deliberately hits the lane engine's remainder paths — with
 //! `LaneEngine = LaneStrategy<8, 4>`, interior row lengths `1..=18`
 //! (from `n in 3..=20`) cover `len < LANES`, `len % LANES != 0` and
@@ -59,8 +60,7 @@ fn out_of(state: &KernelState) -> &Array3<f64> {
 
 /// The planner-facing gate: for every kernel x transform x size, the
 /// plan's exact padded geometry and tile run bitwise identically on the
-/// row engine, the lane engine, the auto-resolved engine, and the
-/// per-point reference.
+/// row engine, the lane engine, and the per-point reference.
 #[test]
 fn all_backends_match_reference_across_transform_plans() {
     let cache = CacheSpec::from_bytes(16 * 1024);
@@ -76,21 +76,15 @@ fn all_backends_match_reference_across_transform_plans() {
                 let p = plan(t, cache, n, n, &kernel.shape());
                 let mut row = kernel.make_state(n, n, &p, seed(n, p.padded_di, p.padded_dj));
                 let mut lane = row.clone();
-                let mut auto = row.clone();
                 let mut want = row.clone();
                 kernel.run_with(&mut row, p.tile, ExecBackend::Row);
                 kernel.run_with(&mut lane, p.tile, ExecBackend::Lane);
-                kernel.run_with(&mut auto, p.tile, ExecBackend::Auto);
                 run_reference(kernel, &mut want, p.tile);
                 let ctx = format!("{}/{} n={n} tile={:?}", kernel.name(), t.name(), p.tile);
                 assert!(out_of(&row).logical_eq(out_of(&want)), "row != ref: {ctx}");
                 assert!(
                     out_of(&lane).logical_eq(out_of(&want)),
                     "lane != ref: {ctx}"
-                );
-                assert!(
-                    out_of(&auto).logical_eq(out_of(&want)),
-                    "auto != ref: {ctx}"
                 );
             }
         }
@@ -108,7 +102,7 @@ fn parallel_backends_match_row_for_every_thread_count() {
             let mut want = kernel.make_state(n, n, &p, seed(n, 1, 2));
             kernel.run(&mut want, p.tile);
             for threads in [1usize, 2, 7] {
-                for backend in [ExecBackend::Row, ExecBackend::Lane, ExecBackend::Auto] {
+                for backend in [ExecBackend::Row, ExecBackend::Lane] {
                     let mut got = kernel.make_state(n, n, &p, seed(n, 1, 2));
                     kernel.run_parallel_with(&mut got, p.tile, threads, backend);
                     assert!(
@@ -138,14 +132,14 @@ fn check_strategy<B: Backend>(label: &str) {
             let mut want = Array3::with_padding(n, n, n, di, dj);
             reference::jacobi3d(&mut want, &b, 1.0 / 6.0, None);
             let mut got = Array3::with_padding(n, n, n, di, dj);
-            jacobi3d::sweep_with::<B>(&mut got, &b, 1.0 / 6.0);
+            jacobi3d::sweep_with::<B>(&mut got, &b, 1.0 / 6.0, None);
             assert!(want.logical_eq(&got), "{label}: jacobi3d n={n} di={di}");
             for (ti, tj) in [(64usize, 64usize), (1, 1), (3, 2)] {
                 let t = TileDims::new(ti, tj);
                 let mut want = Array3::with_padding(n, n, n, di, dj);
                 reference::jacobi3d(&mut want, &b, 1.0 / 6.0, Some(t));
                 let mut got = Array3::with_padding(n, n, n, di, dj);
-                jacobi3d::sweep_tiled_with::<B>(&mut got, &b, 1.0 / 6.0, t);
+                jacobi3d::sweep_with::<B>(&mut got, &b, 1.0 / 6.0, Some(t));
                 assert!(
                     want.logical_eq(&got),
                     "{label}: jacobi3d tiled ({ti},{tj}) n={n} di={di}"
@@ -236,23 +230,25 @@ fn alternate_lane_strategies_match_reference_bitwise() {
 /// sequential sweeps keep their documented `IterSpace::interior`
 /// contract, as in `row_engine_golden.rs`).
 #[test]
-fn degenerate_grids_no_op_on_every_backend() {
-    for nk in [1usize, 2] {
-        for backend in [ExecBackend::Row, ExecBackend::Lane, ExecBackend::Auto] {
+fn degenerate_grids_no_op_on_every_engine() {
+    fn check<B: Backend>() {
+        for nk in [1usize, 2] {
             let mut b = Array3::new(6, 6, nk);
             fill_random(&mut b, 11);
             let zero = Array3::new(6, 6, nk);
             let mut a = zero.clone();
-            parallel::jacobi3d_sweep_backend(&mut a, &b, 0.5, None, 4, backend);
-            assert!(a.logical_eq(&zero), "{} nk={nk}", backend.name());
+            parallel::jacobi3d_sweep_with::<B>(&mut a, &b, 0.5, None, 4);
+            assert!(a.logical_eq(&zero), "{} nk={nk}", B::NAME);
             let mut rb = b.clone();
-            parallel::redblack_sweep_backend(&mut rb, 0.4, 0.1, None, 7, backend);
-            assert!(rb.logical_eq(&b), "{} nk={nk}", backend.name());
+            parallel::redblack_sweep_with::<B>(&mut rb, 0.4, 0.1, None, 7);
+            assert!(rb.logical_eq(&b), "{} nk={nk}", B::NAME);
             let mut r = zero.clone();
-            parallel::resid_sweep_backend(&mut r, &b, &b, &Coeffs::MGRID_A, None, 4, backend);
-            assert!(r.logical_eq(&zero), "{} nk={nk}", backend.name());
+            parallel::resid_sweep_with::<B>(&mut r, &b, &b, &Coeffs::MGRID_A, None, 4);
+            assert!(r.logical_eq(&zero), "{} nk={nk}", B::NAME);
         }
     }
+    check::<RowEngine>();
+    check::<LaneEngine>();
 }
 
 /// The time-tiled engines: the lane backend's skewed (T, K') schedule
@@ -283,28 +279,5 @@ fn time_tiled_backends_match_iterated_reference() {
             rb_want.logical_eq(&a),
             "redblack lane timetile threads={threads}"
         );
-        for backend in [ExecBackend::Lane, ExecBackend::Auto] {
-            let mut bufs = [seed_buf.clone(), seed_buf.clone()];
-            timetile::jacobi_time_tiled_backend(
-                &mut bufs,
-                1.0 / 6.0,
-                steps,
-                tile,
-                threads,
-                backend,
-            );
-            assert!(
-                jac_want[steps % 2].logical_eq(&bufs[steps % 2]),
-                "jacobi timetile backend={} threads={threads}",
-                backend.name()
-            );
-            let mut a = seed_buf.clone();
-            timetile::redblack_time_tiled_backend(&mut a, 0.4, 0.1, steps, tile, threads, backend);
-            assert!(
-                rb_want.logical_eq(&a),
-                "redblack timetile backend={} threads={threads}",
-                backend.name()
-            );
-        }
     }
 }

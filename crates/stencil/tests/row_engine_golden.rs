@@ -43,14 +43,14 @@ fn jacobi3d_engine_matches_reference_bitwise() {
         let mut want = Array3::with_padding(n, n, n, di, dj);
         reference::jacobi3d(&mut want, &b, 1.0 / 6.0, None);
         let mut got = Array3::with_padding(n, n, n, di, dj);
-        jacobi3d::sweep(&mut got, &b, 1.0 / 6.0);
+        jacobi3d::sweep(&mut got, &b, 1.0 / 6.0, None);
         assert!(want.logical_eq(&got), "untiled n={n} di={di} dj={dj}");
         for (ti, tj) in TILES {
             let t = TileDims::new(ti, tj);
             let mut want = Array3::with_padding(n, n, n, di, dj);
             reference::jacobi3d(&mut want, &b, 1.0 / 6.0, Some(t));
             let mut got = Array3::with_padding(n, n, n, di, dj);
-            jacobi3d::sweep_tiled(&mut got, &b, 1.0 / 6.0, t);
+            jacobi3d::sweep(&mut got, &b, 1.0 / 6.0, Some(t));
             assert!(
                 want.logical_eq(&got),
                 "tiled ({ti},{tj}) n={n} di={di} dj={dj}"

@@ -2,7 +2,7 @@
 //! bitwise-identical results to the untransformed original — the safety
 //! property a compiler transformation must guarantee.
 
-use tiling3d::core::{plan, CacheSpec, Transform};
+use tiling3d::core::{plan, CacheSpec, ExecBackend, Transform};
 use tiling3d::grid::Array3;
 use tiling3d::stencil::kernels::{Kernel, KernelState};
 
@@ -73,6 +73,32 @@ fn extreme_tiles_are_safe() {
                 "{} with tile {tile:?} diverged",
                 kernel.name()
             );
+        }
+    }
+}
+
+#[test]
+fn lane_engine_is_a_bitwise_oracle_for_the_row_engine() {
+    // The explicit-lane engine shares no row code with the row engine, so
+    // its bitwise agreement is an independent check of every production
+    // sweep (the benchmark's DRAM-size verdict relies on it). 37 leaves
+    // lane remainders; the parallel arm splits K across two slabs.
+    let cache = CacheSpec::ELEMENTS_16K_DOUBLES;
+    for kernel in Kernel::ALL {
+        for t in [Transform::Orig, Transform::GcdPad] {
+            for &(n, nk) in &[(24usize, 10usize), (37, 9)] {
+                let p = plan(t, cache, n, n, &kernel.shape());
+                let fresh = || kernel.make_state(n, nk, &p, 0x0DD5);
+                let mut row = fresh();
+                kernel.run(&mut row, p.tile);
+                let mut lane = fresh();
+                kernel.run_with(&mut lane, p.tile, ExecBackend::Lane);
+                let mut lane2 = fresh();
+                kernel.run_parallel_with(&mut lane2, p.tile, 2, ExecBackend::Lane);
+                let ctx = format!("{} under {t:?} at {n}x{n}x{nk}", kernel.name());
+                assert!(output(&row).logical_eq(&output(&lane)), "lane: {ctx}");
+                assert!(output(&row).logical_eq(&output(&lane2)), "lane x2: {ctx}");
+            }
         }
     }
 }
